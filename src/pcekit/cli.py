@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .dense import (
-    choi_basis_terms,
-    choi_dense,
-    from_pauli_components,
-    is_positive_semidefinite,
-    pauli_components,
-)
+from .dense import choi_min_eigenvalues, from_pauli_components, pauli_components
 from .diagram import render_ascii, render_svg
 from .dynamics import (
     collide,
@@ -32,29 +27,24 @@ from .dynamics import (
 )
 from .enumeration import census, recount_by_enumeration
 from .errors import (
-    CapacityError,
     DimensionMismatchError,
     InvalidStabilizerSetError,
     NotAChannelError,
     PceError,
     TracePreservationError,
 )
-from .generators import decompose, generator_subspace
+from .generators import decompose, recompose_subspace
 from .maps import (
     PceMap,
     Subspace,
-    TAU_QUBIT_LIMIT,
     choi_spectrum,
     closure_witness,
-    compose,
     is_closed_subspace,
     load_channel_document,
     map_to_subspace,
     subspace_to_map,
 )
-from .pauli import MultiIndex, N_MAX
-
-CHOI_ORACLE_LIMIT = 3
+from .pauli import CHOI_QUBIT_LIMIT, N_MAX, TAU_QUBIT_LIMIT, parse_qubit_count
 
 
 def _fmt(x: float) -> str:
@@ -85,13 +75,13 @@ def _read_json(path: str):
 
 def _load_state(doc: dict) -> tuple[int, np.ndarray]:
     """State document -> (n, component vector)."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("n"), int):
+    if not isinstance(doc, dict):
         raise ValueError('state document must be an object with an integer "n"')
-    n = doc["n"]
+    n = parse_qubit_count(doc.get("n"))
     if "components" in doc:
         r = np.asarray(doc["components"], dtype=float)
-        if r.shape != (4**n,):
-            raise ValueError(f'"components" must have length {4**n}')
+        if r.shape != (4**n,) or not np.isfinite(r).all():
+            raise ValueError(f'"components" must be {4**n} finite numbers')
         return n, r
     if "rho" in doc:
         rho = _parse_matrix(doc["rho"], 2**n)
@@ -101,8 +91,8 @@ def _load_state(doc: dict) -> tuple[int, np.ndarray]:
 
 def _parse_matrix(rows, dim: int) -> np.ndarray:
     matrix = np.asarray(rows, dtype=float)
-    if matrix.shape != (dim, dim, 2):
-        raise ValueError(f'"rho" must be a {dim}x{dim} matrix of [re, im] pairs')
+    if matrix.shape != (dim, dim, 2) or not np.isfinite(matrix).all():
+        raise ValueError(f'"rho" must be a {dim}x{dim} matrix of finite [re, im] pairs')
     return matrix[..., 0] + 1j * matrix[..., 1]
 
 
@@ -149,11 +139,11 @@ def cmd_check(args) -> int:
             "min": str(spectrum.min_value()),
             "sum": str(spectrum.sum_value()),
         }
-        if pce.n <= CHOI_ORACLE_LIMIT:
-            eigenvalues = np.linalg.eigvalsh(choi_dense(pce))
-            oracle_cp = bool(eigenvalues.min() >= -args.tol)
+        if pce.n <= CHOI_QUBIT_LIMIT:
+            lambda_min = float(choi_min_eigenvalues(pce.n, [pce.tau])[0])
+            oracle_cp = lambda_min >= -args.tol
             report["oracle"] = {
-                "lambda_min": float(eigenvalues.min()),
+                "lambda_min": lambda_min,
                 "cp": oracle_cp,
                 "agrees": oracle_cp == report["is_channel"],
             }
@@ -226,12 +216,9 @@ def cmd_census(args) -> int:
     return 0 if match else 1
 
 
-def _as_bitmask(obj: PceMap | Subspace) -> PceMap:
-    return subspace_to_map(obj) if isinstance(obj, Subspace) else obj
-
-
 def cmd_diagram(args) -> int:
-    pce = _as_bitmask(load_channel_document(_read_json(args.channel)))
+    obj = load_channel_document(_read_json(args.channel))
+    pce = subspace_to_map(obj) if isinstance(obj, Subspace) else obj
     render = render_svg if args.diagram_format == "svg" else render_ascii
     sys.stdout.write(render(pce))
     return 0
@@ -239,14 +226,9 @@ def cmd_diagram(args) -> int:
 
 def cmd_decompose(args) -> int:
     obj = load_channel_document(_read_json(args.channel))
-    labels = decompose(obj)
     target = obj if isinstance(obj, Subspace) else map_to_subspace(obj)
-    # The zero label generates the identity channel, whose preserved set is
-    # the full space; folding from it handles an empty label list too.
-    recomposed = generator_subspace(MultiIndex(obj.n, 0))
-    for label in labels:
-        recomposed = compose(recomposed, generator_subspace(label))
-    check = "OK" if recomposed == target else "FAIL"
+    labels = decompose(target)
+    check = "OK" if recompose_subspace(labels, obj.n) == target else "FAIL"
     if args.format == "json":
         _emit_json(
             {
@@ -269,8 +251,9 @@ def cmd_evolve(args) -> int:
         raise DimensionMismatchError(
             f"state has n={n} but process has n={proc.n}"
         )
-    if args.t < 0:
-        raise ValueError("time must be nonnegative")
+    # evolve_components checks t too, but only after the header is printed.
+    if not 0 <= args.t < math.inf:
+        raise ValueError("time must be a nonnegative finite number")
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
     print("t,alpha,r")
@@ -302,23 +285,11 @@ def cmd_collide(args) -> int:
     return 0
 
 
-def _dense_cp_flags(n: int, masks: list[int], tol: float) -> np.ndarray:
-    """Dense-oracle CP verdicts for a batch of tau bitmasks."""
-    terms = choi_basis_terms(n).reshape(4**n, -1)
-    chunk = 2048 if n <= 2 else 256
-    flags = np.empty(len(masks), dtype=bool)
-    for start in range(0, len(masks), chunk):
-        batch = masks[start : start + chunk]
-        tau = np.stack([PceMap(n, m).tau_vector() for m in batch]).astype(float)
-        choi = (tau @ terms).reshape(len(batch), 4**n, 4**n) / 2**n
-        mins = np.linalg.eigvalsh(choi)[:, 0]
-        flags[start : start + len(batch)] = mins >= -tol
-    return flags
-
-
 def cmd_verify(args) -> int:
     if args.exhaustive and args.samples is not None:
         raise ValueError("choose either --exhaustive or --samples")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     exhaustive = args.exhaustive or (args.samples is None and args.n <= 2)
     if exhaustive:
         if args.n > 2:
@@ -336,7 +307,7 @@ def cmd_verify(args) -> int:
     symbolic = np.array(
         [is_closed_subspace(PceMap(args.n, m)) for m in masks], dtype=bool
     )
-    oracle = _dense_cp_flags(args.n, masks, args.tol)
+    oracle = choi_min_eigenvalues(args.n, masks) >= -args.tol
     disagreements = int((symbolic != oracle).sum())
     result = {
         "n": args.n,
@@ -365,6 +336,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcekit",
@@ -380,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="numeric tolerance for dense oracles (default: 1e-9)",
     )

@@ -8,8 +8,9 @@ are the independent cross-check for the symbolic bitmask path: Choi matrices
 are built by explicit Kronecker sums and handed to a Hermitian eigensolver,
 with no reuse of the exact integer transform.
 
-Dense limits: ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi
-matrices (``4**n`` dimensional).
+Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
+``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
+dimensional).
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import functools
 import numpy as np
 
 from . import gf2
-from .errors import CapacityError, DimensionMismatchError, InvalidStabilizerSetError
+from .errors import DimensionMismatchError, InvalidStabilizerSetError
 from .maps import PceMap
 from .pauli import (
+    CHOI_QUBIT_LIMIT,
     DENSE_QUBIT_LIMIT,
     MultiIndex,
     SINGLE_QUBIT_PAULIS,
     _sp_parity,
+    check_qubits,
     pauli_basis,
     pauli_string_dense,
 )
@@ -39,6 +42,7 @@ __all__ = [
     "apply_generator_kraus",
     "choi_basis_terms",
     "choi_dense",
+    "choi_min_eigenvalues",
     "choi_pauli_vector",
     "partial_trace",
     "qc_channel",
@@ -48,15 +52,12 @@ __all__ = [
     "is_positive_semidefinite",
 ]
 
-CHOI_QUBIT_LIMIT = 3
-
 
 def _infer_n(dim: int, what: str) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"{what} dimension {dim} is not a power of two")
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"dense limit is n <= {DENSE_QUBIT_LIMIT}, got n={n}")
+    check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
     return n
 
 
@@ -125,8 +126,7 @@ def choi_basis_terms(n: int) -> np.ndarray:
     with the system and copy factor of each qubit adjacent.  Cached and
     read-only.
     """
-    if n > CHOI_QUBIT_LIMIT:
-        raise CapacityError(f"Choi matrices limited to n <= {CHOI_QUBIT_LIMIT}")
+    check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
     dim = 4**n
     out = np.empty((dim, dim, dim), dtype=complex)
     for f in range(dim):
@@ -146,6 +146,23 @@ def choi_dense(pce: PceMap) -> np.ndarray:
     tau = pce.tau_vector().astype(float)
     dim = 4**pce.n
     return (tau @ terms.reshape(dim, dim * dim)).reshape(dim, dim) / 2**pce.n
+
+
+def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
+    """Smallest dense Choi eigenvalue of each tau bitmask in a batch.
+
+    The batched form of ``eigvalsh(choi_dense(PceMap(n, m))).min()``: Choi
+    matrices are built and diagonalized a chunk at a time to bound memory.
+    """
+    terms = choi_basis_terms(n).reshape(4**n, -1)
+    chunk = 2048 if n <= 2 else 256
+    out = np.empty(len(masks))
+    for start in range(0, len(masks), chunk):
+        batch = masks[start : start + chunk]
+        tau = np.stack([PceMap(n, m).tau_vector() for m in batch]).astype(float)
+        choi = (tau @ terms).reshape(len(batch), 4**n, 4**n) / 2**n
+        out[start : start + len(batch)] = np.linalg.eigvalsh(choi)[:, 0]
+    return out
 
 
 def choi_pauli_vector(a: MultiIndex) -> np.ndarray:

@@ -15,12 +15,10 @@ exactly.
 
 from __future__ import annotations
 
-from .errors import CapacityError
 from .maps import PceMap
+from .pauli import DIAGRAM_QUBIT_LIMIT, check_qubits
 
 __all__ = ["DIAGRAM_QUBIT_LIMIT", "render_ascii", "parse_ascii", "render_svg"]
-
-DIAGRAM_QUBIT_LIMIT = 3
 
 _CELL = 20
 _MARGIN = 10
@@ -28,10 +26,9 @@ _GAP = 8
 
 
 def _check_renderable(n: int) -> None:
-    if n > DIAGRAM_QUBIT_LIMIT:
-        raise CapacityError(
-            f"no grid layout beyond n = {DIAGRAM_QUBIT_LIMIT}; use the JSON form"
-        )
+    check_qubits(
+        n, DIAGRAM_QUBIT_LIMIT, "a grid diagram (larger maps have only the JSON form)"
+    )
 
 
 def _char(pce: PceMap, flat: int) -> str:

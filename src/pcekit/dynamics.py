@@ -19,20 +19,23 @@ when the label list is empty).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError
+from .dense import partial_trace
+from .errors import DimensionMismatchError
+from .generators import recompose
 from .maps import PceMap
 from .pauli import (
     DENSE_QUBIT_LIMIT,
     MultiIndex,
-    N_MAX,
+    check_qubits,
+    parse_qubit_count,
     pauli_string_dense,
     symplectic_product_row,
 )
-from .dense import partial_trace
 
 __all__ = [
     "DissipativeProcess",
@@ -71,8 +74,8 @@ class DissipativeProcess:
             raise ValueError("labels and gammas must have equal length")
         if any(label.n != self.n for label in self.labels):
             raise DimensionMismatchError("process labels have mixed qubit counts")
-        if any(not g > 0 for g in self.gammas):
-            raise ValueError("all rates must be positive")
+        if any(not 0 < g < math.inf for g in self.gammas):
+            raise ValueError("all rates must be positive and finite")
 
     @classmethod
     def from_terms(cls, terms) -> "DissipativeProcess":
@@ -93,8 +96,7 @@ class CollisionSchedule:
     labels: tuple[MultiIndex, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise ValueError(f"qubit count must be in 1..{N_MAX}, got {self.n}")
+        check_qubits(self.n)
         if any(label.n != self.n for label in self.labels):
             raise DimensionMismatchError("schedule labels have mixed qubit counts")
 
@@ -140,8 +142,8 @@ def evolve_components(
     proc: DissipativeProcess, r0: np.ndarray, t: float
 ) -> np.ndarray:
     """Exact propagator in the Pauli basis: componentwise exponential decay."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     r0 = np.asarray(r0, dtype=float)
     if r0.size != 4**proc.n:
         raise DimensionMismatchError(
@@ -188,10 +190,7 @@ def collision_unitary(label: MultiIndex) -> np.ndarray:
     it sends ``|psi>|0>`` to ``(|psi>|0> + P|psi>|1>)/sqrt(2)`` and
     ``|psi>|1>`` to ``(|psi>|0> - P|psi>|1>)/sqrt(2)``.
     """
-    if label.n + 1 > DENSE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"collision needs n + 1 <= {DENSE_QUBIT_LIMIT} dense qubits"
-        )
+    check_qubits(label.n + 1, DENSE_QUBIT_LIMIT, "a collision (system plus ancilla)")
     dim = 2**label.n
     sigma = pauli_string_dense(label)
     controlled = np.kron(np.eye(dim, dtype=complex), _P0) + np.kron(sigma, _P1)
@@ -214,11 +213,9 @@ def collide(schedule: CollisionSchedule, rho: np.ndarray) -> np.ndarray:
 
 
 def pce_limit(proc: DissipativeProcess) -> PceMap:
-    """The channel reached at t -> infinity: preserves the zero-rate set."""
-    rates = decay_rates(proc)
-    bits = (rates == 0).astype(np.uint8)
-    tau = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return PceMap(proc.n, tau)
+    """The channel reached at t -> infinity: every label's term has a positive
+    rate, so it is the composition of the labels' elementary channels."""
+    return recompose(proc.labels, proc.n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +231,15 @@ def process_from_json_dict(doc: dict) -> DissipativeProcess:
         if not isinstance(entry, dict) or "alpha" not in entry or "gamma" not in entry:
             raise ValueError('each term needs "alpha" and "gamma"')
         label = MultiIndex.from_string(str(entry["alpha"]))
-        gamma = float(entry["gamma"])
+        try:
+            gamma = float(entry["gamma"])
+        except (TypeError, ValueError):
+            raise ValueError(f'"gamma" must be a number, got {entry["gamma"]!r}') from None
         terms.append((label, gamma))
     if not terms:
         raise ValueError("process needs at least one term")
     proc = DissipativeProcess.from_terms(terms)
-    if "n" in doc and doc["n"] != proc.n:
+    if "n" in doc and parse_qubit_count(doc["n"]) != proc.n:
         raise ValueError('process "n" disagrees with the label length')
     return proc
 
@@ -260,10 +260,10 @@ def schedule_from_json_dict(doc: dict) -> CollisionSchedule:
     labels = tuple(MultiIndex.from_string(str(t)) for t in doc["labels"])
     if labels:
         n = labels[0].n
-        if "n" in doc and doc["n"] != n:
+        if "n" in doc and parse_qubit_count(doc["n"]) != n:
             raise ValueError('schedule "n" disagrees with the label length')
-    elif isinstance(doc.get("n"), int):
-        n = doc["n"]
+    elif "n" in doc:
+        n = parse_qubit_count(doc["n"])
     else:
         raise ValueError('empty schedule needs an explicit "n"')
     return CollisionSchedule(n, labels)

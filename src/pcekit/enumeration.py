@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .errors import CapacityError
 from .maps import Subspace
-from .pauli import N_MAX
+from .pauli import check_qubits
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -36,8 +36,7 @@ def count_channels(n: int, K: int) -> int:
     telescoped one-factor-per-step form and the ordered-bases-over-
     automorphisms form are computed and must agree.
     """
-    if not 1 <= n <= N_MAX:
-        raise CapacityError(f"qubit count must be in 1..{N_MAX}, got {n}")
+    check_qubits(n)
     if not 0 <= K <= 2 * n:
         raise ValueError(f"K must be in 0..{2 * n}, got {K}")
     numerator = 1
@@ -46,13 +45,13 @@ def count_channels(n: int, K: int) -> int:
         numerator *= 2 ** (2 * n - m) - 1
         denominator *= 2 ** (K - m) - 1
     count, rem = divmod(numerator, denominator)
-    assert rem == 0
     ordered = 1
     autos = 1
     for m in range(K):
         ordered *= 2 ** (2 * n) - 2**m
         autos *= 2**K - 2**m
-    assert count * autos == ordered
+    if rem or count * autos != ordered:
+        raise ArithmeticError(f"the two subspace counts for n={n}, K={K} disagree")
     return count
 
 

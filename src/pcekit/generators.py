@@ -10,11 +10,9 @@ product, and that annihilator basis is the canonical decomposition used here.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import gf2
 from .errors import DimensionMismatchError
-from .maps import PceMap, Subspace, compose, map_to_subspace
+from .maps import PceMap, Subspace, map_to_subspace, subspace_to_map
 from .pauli import MultiIndex, _sp_parity, _swap_pairs, symplectic_product_row
 
 __all__ = [
@@ -23,15 +21,19 @@ __all__ = [
     "local_action",
     "decompose",
     "recompose",
+    "recompose_subspace",
     "reflection_parity",
 ]
 
 
+def _symplectic_complement(n: int, codes) -> list[int]:
+    """RREF basis of the codes whose symplectic product with every code vanishes."""
+    return gf2.nullspace([_swap_pairs(c, n) for c in codes], 2 * n)
+
+
 def generator_map(label: MultiIndex) -> PceMap:
     """Bitmask of the elementary channel: keep components commuting with ``label``."""
-    keep = (1 - symplectic_product_row(label)).astype(np.uint8)
-    tau = int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little")
-    return PceMap(label.n, tau)
+    return PceMap.from_bits(label.n, symplectic_product_row(label) == 0)
 
 
 def generator_subspace(label: MultiIndex) -> Subspace:
@@ -40,11 +42,7 @@ def generator_subspace(label: MultiIndex) -> Subspace:
     This is the symplectic complement of the single label: dimension 2n for
     the zero label, 2n - 1 otherwise.
     """
-    if label.code == 0:
-        rows = gf2.nullspace([], 2 * label.n)
-    else:
-        rows = gf2.nullspace([_swap_pairs(label.code, label.n)], 2 * label.n)
-    return Subspace(label.n, tuple(rows))
+    return recompose_subspace([label])
 
 
 def local_action(label: MultiIndex, k: int) -> int:
@@ -72,27 +70,35 @@ def decompose(channel: PceMap | Subspace) -> list[MultiIndex]:
         subspace = channel
     else:
         subspace = map_to_subspace(channel)
-    rows = [_swap_pairs(v, subspace.n) for v in subspace.basis]
-    annihilator = gf2.nullspace(rows, 2 * subspace.n)
+    annihilator = _symplectic_complement(subspace.n, subspace.basis)
     return [MultiIndex(subspace.n, v) for v in annihilator]
 
 
-def recompose(labels, n: int | None = None) -> PceMap:
-    """Fold of `compose` over the elementary channels of ``labels``.
+def recompose_subspace(labels, n: int | None = None) -> Subspace:
+    """Preserved subspace of the composed elementary channels of ``labels``.
 
+    Closed form: composing intersects the labels' symplectic complements,
+    which is the symplectic complement of span(labels); works for n <= 16.
     ``n`` is only needed for an empty label list (identity channel).
+
+    Raises:
+        DimensionMismatchError: if a label's qubit count differs from ``n``
+            or from the first label's.
     """
     labels = list(labels)
-    if not labels:
-        if n is None:
+    if n is None:
+        if not labels:
             raise ValueError("empty label list needs an explicit qubit count")
-        return PceMap.identity(n)
-    if n is not None and labels[0].n != n:
-        raise DimensionMismatchError(f"labels have n={labels[0].n}, expected {n}")
-    out = generator_map(labels[0])
-    for label in labels[1:]:
-        out = compose(out, generator_map(label))
-    return out
+        n = labels[0].n
+    for label in labels:
+        if label.n != n:
+            raise DimensionMismatchError(f"label {label} has n={label.n}, expected {n}")
+    return Subspace(n, tuple(_symplectic_complement(n, [a.code for a in labels])))
+
+
+def recompose(labels, n: int | None = None) -> PceMap:
+    """Bitmask form of `recompose_subspace` (``n <= TAU_QUBIT_LIMIT``)."""
+    return subspace_to_map(recompose_subspace(labels, n))
 
 
 def reflection_parity(label: MultiIndex, k: int) -> int:

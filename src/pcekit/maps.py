@@ -36,13 +36,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    NotAChannelError,
-    TracePreservationError,
+from .errors import NotAChannelError, TracePreservationError
+from .pauli import (
+    TAU_QUBIT_LIMIT,
+    MultiIndex,
+    _check_same_n,
+    check_qubits,
+    parse_qubit_count,
+    sign_transform,
 )
-from .pauli import MultiIndex, N_MAX, sign_transform
 
 __all__ = [
     "TAU_QUBIT_LIMIT",
@@ -63,9 +65,6 @@ __all__ = [
     "dump_channel_document",
 ]
 
-# Bitmasks have 4**n bits; beyond this qubit count only the basis form exists.
-TAU_QUBIT_LIMIT = 13
-
 
 @dataclass(frozen=True)
 class PceMap:
@@ -75,10 +74,7 @@ class PceMap:
     tau: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= TAU_QUBIT_LIMIT:
-            raise CapacityError(
-                f"bitmask form limited to 1 <= n <= {TAU_QUBIT_LIMIT}, got {self.n}"
-            )
+        check_qubits(self.n, TAU_QUBIT_LIMIT, "the bitmask form")
         if self.tau < 0 or self.tau.bit_length() > 4**self.n:
             raise ValueError(f"tau bitmask out of range for n={self.n}")
 
@@ -93,13 +89,23 @@ class PceMap:
     @classmethod
     def from_preserved(cls, n: int, indices) -> "PceMap":
         """Build from an iterable of preserved indices (MultiIndex or flat int)."""
-        tau = 0
-        for idx in indices:
-            f = idx.code if isinstance(idx, MultiIndex) else int(idx)
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bytes
+        flat = [idx.code if isinstance(idx, MultiIndex) else int(idx) for idx in indices]
+        for f in flat:
             if not 0 <= f < 4**n:
                 raise ValueError(f"flat index {f} out of range for n={n}")
-            tau |= 1 << f
-        return cls(n, tau)
+        bits = np.zeros(4**n, dtype=np.uint8)
+        bits[flat] = 1
+        return cls.from_bits(n, bits)
+
+    @classmethod
+    def from_bits(cls, n: int, bits) -> "PceMap":
+        """Inverse of `tau_vector`: build from a 0/1 array of length ``4**n``."""
+        bits = np.asarray(bits)
+        if bits.shape != (4**n,):
+            raise ValueError(f"expected {4**n} bits for n={n}, got shape {bits.shape}")
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        return cls(n, int.from_bytes(packed, "little"))
 
     @property
     def is_trace_preserving(self) -> bool:
@@ -112,12 +118,15 @@ class PceMap:
 
     def preserved_indices(self) -> list[int]:
         """Sorted flat indices of preserved components."""
+        # One string of binary digits, searched leftwards from bit 0 at its
+        # right end: each index costs one C-level search, not a copy of tau.
+        digits = bin(self.tau)
+        last = len(digits) - 1
         out = []
-        rem = self.tau
-        while rem:
-            low = rem & -rem
-            out.append(low.bit_length() - 1)
-            rem ^= low
+        pos = digits.rfind("1")
+        while pos >= 0:
+            out.append(last - pos)
+            pos = digits.rfind("1", 0, pos)
         return out
 
     def preserved(self) -> list[MultiIndex]:
@@ -144,8 +153,7 @@ class Subspace:
     basis: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"qubit count must be in 1..{N_MAX}, got {self.n}")
+        check_qubits(self.n)
         rows = list(self.basis)
         if any(not 0 < v < 4**self.n for v in rows):
             raise ValueError(f"basis vector out of range for n={self.n}")
@@ -223,11 +231,6 @@ class ChoiSpectrum:
         return bool(self.numerators.min() >= 0)
 
 
-def _check_same_n(a, b) -> None:
-    if a.n != b.n:
-        raise DimensionMismatchError(f"qubit counts differ: {a.n} vs {b.n}")
-
-
 def choi_spectrum(pce: PceMap) -> ChoiSpectrum:
     """Exact Choi eigenvalues of a PCE map, one per flat multi-index."""
     numerators = sign_transform(pce.tau_vector().astype(np.int64))
@@ -250,9 +253,7 @@ def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
         raise ValueError(
             f"not a PCE spectrum: recovered tau at flat index {f} is {value}, not 0/1"
         )
-    bits = (scaled == full).astype(np.uint8)
-    tau = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return PceMap(spectrum.n, tau)
+    return PceMap.from_bits(spectrum.n, scaled == full)
 
 
 def is_closed_subspace(pce: PceMap) -> bool:
@@ -307,18 +308,14 @@ def closure(n: int, seeds) -> Subspace:
 
 
 def subspace_to_map(subspace: Subspace) -> PceMap:
-    """Materialize the bitmask of a subspace channel (``n <= 13``)."""
-    if subspace.n > TAU_QUBIT_LIMIT:
-        raise CapacityError(
-            f"bitmask form limited to n <= {TAU_QUBIT_LIMIT}, got n={subspace.n}"
-        )
+    """Materialize the bitmask of a subspace channel (``n <= TAU_QUBIT_LIMIT``)."""
+    check_qubits(subspace.n, TAU_QUBIT_LIMIT, "the bitmask form")
     members = np.zeros(1, dtype=np.int64)
     for b in subspace.basis:
         members = np.concatenate([members, members ^ np.int64(b)])
     bits = np.zeros(4**subspace.n, dtype=np.uint8)
     bits[members] = 1
-    tau = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return PceMap(subspace.n, tau)
+    return PceMap.from_bits(subspace.n, bits)
 
 
 def map_to_subspace(pce: PceMap) -> Subspace:
@@ -361,13 +358,7 @@ def reflect(pce: PceMap, k: int) -> PceMap:
     if not 1 <= k <= pce.n:
         raise ValueError(f"qubit index {k} out of range 1..{pce.n}")
     flip = 3 << (2 * (k - 1))
-    tau = 0
-    rem = pce.tau
-    while rem:
-        low = rem & -rem
-        tau |= 1 << ((low.bit_length() - 1) ^ flip)
-        rem ^= low
-    return PceMap(pce.n, tau)
+    return PceMap.from_preserved(pce.n, [f ^ flip for f in pce.preserved_indices()])
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +374,7 @@ def load_channel_document(doc: dict) -> PceMap | Subspace:
     """
     if not isinstance(doc, dict):
         raise ValueError("channel document must be a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or not 1 <= n <= N_MAX:
-        raise ValueError(f'"n" must be an integer in 1..{N_MAX}')
+    n = parse_qubit_count(doc.get("n"))
     has_preserved = "preserved" in doc
     has_basis = "basis" in doc
     if has_preserved == has_basis:

@@ -35,7 +35,12 @@ from .errors import CapacityError, DimensionMismatchError
 
 __all__ = [
     "N_MAX",
+    "TAU_QUBIT_LIMIT",
     "DENSE_QUBIT_LIMIT",
+    "CHOI_QUBIT_LIMIT",
+    "DIAGRAM_QUBIT_LIMIT",
+    "check_qubits",
+    "parse_qubit_count",
     "SIGN_TABLE",
     "MultiIndex",
     "klein_add",
@@ -49,11 +54,12 @@ __all__ = [
     "pauli_basis",
 ]
 
-# Hard limit for symbolic operations: packed codes fit in 32 bits.
-N_MAX = 16
-
-# Largest qubit count for which dense 2**n x 2**n matrices are built.
-DENSE_QUBIT_LIMIT = 5
+# Qubit limits, one per representation; `check_qubits` enforces them.
+N_MAX = 16  # symbolic (basis) form: packed codes fit in 32 bits
+TAU_QUBIT_LIMIT = 13  # bitmask form: 4**n bits per map
+DENSE_QUBIT_LIMIT = 5  # dense 2**n x 2**n matrices
+CHOI_QUBIT_LIMIT = 3  # dense 4**n x 4**n Choi matrices
+DIAGRAM_QUBIT_LIMIT = 3  # grid diagrams; larger maps have only the JSON form
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,9 +79,17 @@ SIGN_TABLE = np.array(
 )
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= N_MAX:
-        raise CapacityError(f"qubit count must be in 1..{N_MAX}, got {n}")
+def check_qubits(n: int, limit: int = N_MAX, what: str = "the symbolic form") -> None:
+    """Raise CapacityError unless ``1 <= n <= limit``; ``what`` names the object."""
+    if not 1 <= n <= limit:
+        raise CapacityError(f"{what} needs 1 <= n <= {limit}, got n={n}")
+
+
+def parse_qubit_count(value) -> int:
+    """A document's ``"n"``: an int in ``1..N_MAX``, else ValueError (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= N_MAX:
+        raise ValueError(f'"n" must be an integer in 1..{N_MAX}, got {value!r}')
+    return value
 
 
 def _low_mask(n: int) -> int:
@@ -107,7 +121,7 @@ class MultiIndex:
     code: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        check_qubits(self.n)
         if not 0 <= self.code < 4**self.n:
             raise ValueError(f"code {self.code} out of range for n={self.n}")
 
@@ -189,7 +203,7 @@ def _gather_even_bits(code: int, n: int) -> int:
     return out
 
 
-def _check_same_n(a: MultiIndex, b: MultiIndex) -> None:
+def _check_same_n(a, b) -> None:
     if a.n != b.n:
         raise DimensionMismatchError(f"qubit counts differ: {a.n} vs {b.n}")
 
@@ -225,8 +239,7 @@ def symplectic_product_row(a: MultiIndex) -> np.ndarray:
     Returns a uint8 array of length ``4**a.n`` (entries 0 or 1).  Entry beta is
     1 exactly when the Pauli strings labelled ``a`` and ``beta`` anticommute.
     """
-    if a.n > 13:
-        raise CapacityError(f"full row has 4**{a.n} entries; limit is n <= 13")
+    check_qubits(a.n, TAU_QUBIT_LIMIT, "a full symplectic row")
     betas = np.arange(4**a.n, dtype=np.uint64)
     mask = np.uint64(_swap_pairs(a.code, a.n))
     return (np.bitwise_count(betas & mask) & 1).astype(np.uint8)
@@ -267,10 +280,7 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
 
 def pauli_string_dense(a: MultiIndex) -> np.ndarray:
     """Dense ``2**n x 2**n`` matrix of the Pauli string, qubit 1 leftmost."""
-    if a.n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"dense matrices limited to n <= {DENSE_QUBIT_LIMIT}, got n={a.n}"
-        )
+    check_qubits(a.n, DENSE_QUBIT_LIMIT, "a dense matrix")
     out = SINGLE_QUBIT_PAULIS[a.digit(1)]
     for k in range(2, a.n + 1):
         out = np.kron(out, SINGLE_QUBIT_PAULIS[a.digit(k)])
@@ -283,11 +293,7 @@ def pauli_basis(n: int) -> np.ndarray:
 
     The returned array is read-only and cached per ``n``.
     """
-    _check_n(n)
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"dense matrices limited to n <= {DENSE_QUBIT_LIMIT}, got n={n}"
-        )
+    check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
     dim = 2**n
     out = np.empty((4**n, dim, dim), dtype=complex)
     for code in range(4**n):

@@ -100,6 +100,11 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(["check", str(path)], capsys)
     assert code == 2
     assert "error:" in err
+    # A JSON bool is not a qubit count, although Python's bool is an int.
+    path = write_json(tmp_path, "bool_n.json", {"n": True, "preserved": ["0"]})
+    code, out, err = run_cli(["check", path], capsys)
+    assert (code, out) == (2, "")
+    assert '"n" must be an integer' in err
 
 
 def test_census_text(capsys):
@@ -214,6 +219,36 @@ def test_evolve_dimension_mismatch_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
+    good_proc = {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
+    good_state = {"n": 1, "components": [1.0, 0.5, 0.0, 0.5]}
+    cases = [
+        ({"n": True, "terms": good_proc["terms"]}, good_state, "1.0", '"n"'),
+        (good_proc, {"n": True, "components": [1, 0, 0, 0]}, "1.0", '"n"'),
+        (good_proc, {"n": -1, "components": [1, 0, 0, 0]}, "1.0", '"n"'),
+        (good_proc, {"n": 1, "components": [1, float("nan"), 0, 0]}, "1.0", "finite"),
+        ({"n": 1, "terms": [{"alpha": "3", "gamma": "inf"}]}, good_state, "1.0", "finite"),
+        ({"n": 1, "terms": [{"alpha": "3", "gamma": None}]}, good_state, "1.0", "number"),
+        (good_proc, good_state, "nan", "finite"),
+        (good_proc, good_state, "inf", "finite"),
+    ]
+    for proc_doc, state_doc, t, message in cases:
+        proc = write_json(tmp_path, "proc.json", proc_doc)
+        state = write_json(tmp_path, "state.json", state_doc)
+        code, out, err = run_cli(["evolve", proc, state, t], capsys)
+        assert (code, out) == (2, ""), (proc_doc, state_doc, t)
+        assert message in err, err
+
+
+def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
+    state = write_json(tmp_path, "state.json", {"n": 1, "components": [1, 0, 0, 0]})
+    for doc in ({"n": True, "labels": ["3"]}, {"n": True, "labels": []}):
+        sched = write_json(tmp_path, "sched.json", doc)
+        code, out, err = run_cli(["collide", sched, state], capsys)
+        assert (code, out) == (2, ""), doc
+        assert '"n" must be an integer' in err
+
+
 def test_evolve_accepts_density_matrix_state(tmp_path, capsys):
     proc = write_json(
         tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
@@ -270,12 +305,24 @@ def test_verify_mode_restrictions(capsys):
     assert code == 2
     code, _, err = run_cli(["verify", "2", "--exhaustive", "--samples", "5"], capsys)
     assert code == 2
+    for samples in ("-5", "0"):
+        code, out, err = run_cli(["verify", "3", "--samples", samples], capsys)
+        assert (code, out) == (2, "")
+        assert "--samples must be at least 1" in err
 
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_tolerance_must_be_nonnegative_and_finite(capsys):
+    for tol in ("nan", "inf", "-1e-9"):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "verify", "1"])
+        assert exc.value.code == 2
+        assert "nonnegative and finite" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(channel_file, capsys):

@@ -49,6 +49,8 @@ def test_process_validation():
         DissipativeProcess.from_terms([("3", -0.5)])
     with pytest.raises(ValueError):
         DissipativeProcess.from_terms([("3", 0.0)])
+    with pytest.raises(ValueError):
+        DissipativeProcess.from_terms([("3", float("inf"))])
     with pytest.raises(DimensionMismatchError):
         DissipativeProcess.from_terms([("3", 1.0), ("33", 1.0)])
     proc = DissipativeProcess.from_terms([("03", 1.5), ("33", 0.5)])
@@ -103,6 +105,8 @@ def test_evolve_validation():
     proc = DissipativeProcess.from_terms([("3", 1.0)])
     with pytest.raises(ValueError):
         evolve_components(proc, np.ones(4), -0.1)
+    with pytest.raises(ValueError):
+        evolve_components(proc, np.ones(4), float("nan"))
     with pytest.raises(DimensionMismatchError):
         evolve_components(proc, np.ones(16), 1.0)
 
@@ -233,3 +237,5 @@ def test_schedule_json_round_trip():
         schedule_from_json_dict({"labels": []})  # empty needs explicit n
     with pytest.raises(ValueError):
         schedule_from_json_dict({"n": 1, "labels": ["03"]})  # n conflict
+    with pytest.raises(CapacityError):
+        CollisionSchedule(17, ())

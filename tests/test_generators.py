@@ -11,6 +11,7 @@ from pcekit.generators import (
     generator_subspace,
     local_action,
     recompose,
+    recompose_subspace,
     reflection_parity,
 )
 from pcekit.maps import (
@@ -96,6 +97,8 @@ def test_recompose_validation():
         recompose([MultiIndex(1, 3)], n=2)
     with pytest.raises(DimensionMismatchError):
         recompose([MultiIndex(1, 3), MultiIndex(2, 3)])
+    with pytest.raises(DimensionMismatchError):
+        recompose_subspace([MultiIndex(1, 3), MultiIndex(2, 3)])
 
 
 def test_round_trip_all_two_qubit_channels():
