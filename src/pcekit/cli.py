@@ -37,6 +37,7 @@ from .generators import decompose, recompose_subspace
 from .maps import (
     PceMap,
     Subspace,
+    channel_spectrum,
     choi_spectrum,
     closure_witness,
     is_closed_subspace,
@@ -115,7 +116,8 @@ def cmd_check(args) -> int:
         report["is_channel"] = True
         report["K"] = obj.dim
         report["popcount"] = 2**obj.dim
-        pce = subspace_to_map(obj) if obj.n <= TAU_QUBIT_LIMIT else None
+        # The bitmask feeds only the dense oracle; the spectrum is closed-form.
+        pce = subspace_to_map(obj) if obj.n <= CHOI_QUBIT_LIMIT else None
     else:
         pce = obj
         report["is_pce"] = pce.is_trace_preserving
@@ -130,23 +132,24 @@ def cmd_check(args) -> int:
                 "pair": [a.to_string(), b.to_string()],
                 "missing": missing.to_string(),
             }
-    if pce is not None:
-        spectrum = choi_spectrum(pce)
+    if obj.n <= TAU_QUBIT_LIMIT:
+        if report["is_channel"]:
+            counts = channel_spectrum(obj.n, report["K"])
+        else:
+            counts = choi_spectrum(pce).value_counts()
         report["spectrum"] = {
-            "values": [
-                {"value": str(v), "count": c} for v, c in spectrum.value_counts()
-            ],
-            "min": str(spectrum.min_value()),
-            "sum": str(spectrum.sum_value()),
+            "values": [{"value": str(v), "count": c} for v, c in counts],
+            "min": str(counts[0][0]),
+            "sum": str(sum(v * c for v, c in counts)),
         }
-        if pce.n <= CHOI_QUBIT_LIMIT:
-            lambda_min = float(choi_min_eigenvalues(pce.n, [pce.tau])[0])
-            oracle_cp = lambda_min >= -args.tol
-            report["oracle"] = {
-                "lambda_min": lambda_min,
-                "cp": oracle_cp,
-                "agrees": oracle_cp == report["is_channel"],
-            }
+    if obj.n <= CHOI_QUBIT_LIMIT:
+        lambda_min = float(choi_min_eigenvalues(pce.n, [pce.tau])[0])
+        oracle_cp = lambda_min >= -args.tol
+        report["oracle"] = {
+            "lambda_min": lambda_min,
+            "cp": oracle_cp,
+            "agrees": oracle_cp == report["is_channel"],
+        }
     if args.format == "json":
         _emit_json(report)
     else:

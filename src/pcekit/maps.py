@@ -40,6 +40,7 @@ from .errors import NotAChannelError, TracePreservationError
 from .pauli import (
     TAU_QUBIT_LIMIT,
     MultiIndex,
+    _base4_code,
     _check_same_n,
     check_qubits,
     parse_qubit_count,
@@ -52,6 +53,7 @@ __all__ = [
     "Subspace",
     "ChoiSpectrum",
     "choi_spectrum",
+    "channel_spectrum",
     "tau_from_spectrum",
     "is_closed_subspace",
     "closure_witness",
@@ -80,6 +82,7 @@ class PceMap:
 
     @classmethod
     def identity(cls, n: int) -> "PceMap":
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bits
         return cls(n, (1 << 4**n) - 1)
 
     @classmethod
@@ -88,9 +91,18 @@ class PceMap:
 
     @classmethod
     def from_preserved(cls, n: int, indices) -> "PceMap":
-        """Build from an iterable of preserved indices (MultiIndex or flat int)."""
+        """Build from an iterable of preserved indices.
+
+        Each index is a base-4 string of ``n`` digits (qubit 1 first), a
+        `MultiIndex`, or a flat int.
+        """
         check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bytes
-        flat = [idx.code if isinstance(idx, MultiIndex) else int(idx) for idx in indices]
+        flat = [
+            _preserved_code(idx, n) if isinstance(idx, str)
+            else idx.code if isinstance(idx, MultiIndex)
+            else int(idx)
+            for idx in indices
+        ]
         for f in flat:
             if not 0 <= f < 4**n:
                 raise ValueError(f"flat index {f} out of range for n={n}")
@@ -237,6 +249,25 @@ def choi_spectrum(pce: PceMap) -> ChoiSpectrum:
     return ChoiSpectrum(pce.n, numerators)
 
 
+def channel_spectrum(n: int, K: int) -> list[tuple[Fraction, int]]:
+    """Closed-form Choi spectrum of a channel with a K-dimensional preserved subspace.
+
+    The eigenvalue ``2**(K - n)`` sits on the ``2**(2n - K)`` indices of the
+    subspace's symplectic complement and 0 on the rest, so no 4**n array is
+    built and any ``n <= N_MAX`` works.  Same shape as
+    `ChoiSpectrum.value_counts` of ``subspace_to_map`` of such a channel:
+    ``(value, multiplicity)`` pairs, ascending; K = 0 has no 0 entry.
+    """
+    check_qubits(n)
+    if isinstance(K, bool) or not isinstance(K, int) or not 0 <= K <= 2 * n:
+        raise ValueError(f"K must be an integer in 0..{2 * n}, got {K!r}")
+    support = 1 << (2 * n - K)
+    counts = [(Fraction(1 << K, 1 << n), support)]
+    if support < 4**n:
+        counts.insert(0, (Fraction(0), 4**n - support))
+    return counts
+
+
 def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
     """Invert `choi_spectrum`; rejects spectra that are not 0/1 bitmasks.
 
@@ -366,6 +397,13 @@ def reflect(pce: PceMap, k: int) -> PceMap:
 # ---------------------------------------------------------------------------
 
 
+def _preserved_code(text, n: int) -> int:
+    """Flat index of a "preserved" entry: a base-4 string of exactly ``n`` digits."""
+    if not isinstance(text, str) or len(text) != n:
+        raise ValueError(f"preserved entry {text!r} is not {n} base-4 digits")
+    return _base4_code(text)
+
+
 def load_channel_document(doc: dict) -> PceMap | Subspace:
     """Parse a channel document; returns the form the document used.
 
@@ -383,12 +421,7 @@ def load_channel_document(doc: dict) -> PceMap | Subspace:
         entries = doc["preserved"]
         if not isinstance(entries, list):
             raise ValueError('"preserved" must be a list of base-4 strings')
-        indices = []
-        for text in entries:
-            if not isinstance(text, str) or len(text) != n:
-                raise ValueError(f"preserved entry {text!r} is not {n} base-4 digits")
-            indices.append(MultiIndex.from_string(text))
-        return PceMap.from_preserved(n, indices)
+        return PceMap.from_preserved(n, [_preserved_code(text, n) for text in entries])
     entries = doc["basis"]
     if not isinstance(entries, list):
         raise ValueError('"basis" must be a list of bit strings')

@@ -92,6 +92,15 @@ def parse_qubit_count(value) -> int:
     return value
 
 
+def _base4_code(text: str) -> int:
+    """Packed code of a base-4 digit string, qubit 1 first ('32' -> 3 + 2*4)."""
+    # strip() leaves a remainder iff some character is not a digit 0..3, which
+    # also keeps signs, spaces and underscores away from int().
+    if not text or text.strip("0123"):
+        raise ValueError(f"not a base-4 digit string: {text!r}")
+    return int(text[::-1], 4)
+
+
 def _low_mask(n: int) -> int:
     """Mask selecting the low (j) bit of every digit: bits 0, 2, 4, ..."""
     return (4**n - 1) // 3
@@ -138,9 +147,7 @@ class MultiIndex:
     @classmethod
     def from_string(cls, text: str) -> "MultiIndex":
         """Parse a base-4 digit string, qubit 1 first (e.g. '32' -> (3, 2))."""
-        if not text or any(c not in "0123" for c in text):
-            raise ValueError(f"not a base-4 digit string: {text!r}")
-        return cls.from_digits([int(c) for c in text])
+        return cls(len(text), _base4_code(text))
 
     @classmethod
     def from_bit_string(cls, text: str) -> "MultiIndex":

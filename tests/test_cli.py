@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from pcekit.cli import main
+from pcekit.maps import choi_spectrum, load_channel_document
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -86,6 +87,89 @@ def test_check_subspace_document_beyond_bitmask_range(tmp_path, capsys):
     assert code == 0
     assert "is_channel: yes" in out
     assert "spectrum" not in out
+
+
+# Recorded when every spectrum still came from the sign transform, so they
+# pin the closed-form report to it byte for byte.  Values: (document, exit).
+CHECK_GOLDEN_DOCUMENTS = {
+    "basis_2": ({"n": 2, "basis": ["0101", "1010"]}, 0),
+    "basis_12": (
+        {
+            "n": 12,
+            "basis": [
+                "001100110011100010000101",
+                "111110100010111111101010",
+                "100110011010100111000111",
+                "001000001110011101111011",
+                "011111011010011111100011",
+                "111010111110001010101001",
+                "101001011000010110101111",
+            ],
+        },
+        0,
+    ),
+    "closed_3": (
+        {"n": 3, "preserved": ["000", "030", "211", "221", "212", "222", "003", "033"]},
+        0,
+    ),
+    "not_closed_2": ({"n": 2, "preserved": ["00", "10", "02", "22", "32"]}, 1),
+    "not_tp_2": ({"n": 2, "preserved": ["30", "03", "33"]}, 1),
+    "basis_16": (
+        {
+            "n": 16,
+            "basis": [
+                "11111010001100111001000001001001",
+                "00100101101000000100110101101100",
+                "00000100110101111110110001000111",
+                "01011111100010101001110101010010",
+                "01000100100011100000010000011111",
+                "11010101101000111001001011101011",
+                "10010110110101010100001001000100",
+                "10100001101110011111001101010101",
+                "10111110101101000110001110111000",
+            ],
+        },
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(CHECK_GOLDEN_DOCUMENTS))
+def test_check_matches_golden_files(name, fmt, tmp_path, capsys):
+    doc, expected_code = CHECK_GOLDEN_DOCUMENTS[name]
+    path = write_json(tmp_path, f"{name}.json", doc)
+    code, out, _ = run_cli(["--format", fmt, "check", path], capsys)
+    assert code == expected_code
+    assert out == (GOLDEN_DIR / f"check_{name}_{fmt}.txt").read_text()
+
+
+def test_check_reports_channel_spectra_without_the_sign_transform(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(pce):
+        raise RuntimeError("choi_spectrum called")
+
+    monkeypatch.setattr("pcekit.cli.choi_spectrum", refuse)
+    doc, _ = CHECK_GOLDEN_DOCUMENTS["basis_12"]
+    path = write_json(tmp_path, "basis_12.json", doc)
+    code, out, _ = run_cli(["--format", "json", "check", path], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "check_basis_12_json.txt").read_text()
+
+    closed = {"n": 4, "preserved": ["0000", "3000", "0110", "3110"]}
+    path = write_json(tmp_path, "closed_4.json", closed)
+    code, out, _ = run_cli(["--format", "json", "check", path], capsys)
+    assert code == 0
+    expected = choi_spectrum(load_channel_document(closed)).value_counts()
+    assert json.loads(out)["spectrum"]["values"] == [
+        {"value": str(v), "count": c} for v, c in expected
+    ]
+
+    near = {"n": 4, "preserved": ["0000", "3000", "0110"]}
+    path = write_json(tmp_path, "near_4.json", near)
+    with pytest.raises(RuntimeError, match="choi_spectrum called"):
+        main(["check", path])
 
 
 def test_check_missing_file_is_usage_error(capsys):

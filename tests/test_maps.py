@@ -1,5 +1,6 @@
 """PCE maps: bitmask/basis forms, Choi spectra, closure, documents."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from pcekit.maps import (
     ChoiSpectrum,
     PceMap,
     Subspace,
+    channel_spectrum,
     choi_spectrum,
     closure,
     closure_witness,
@@ -47,8 +49,13 @@ def test_from_preserved_round_trip():
     assert m.preserved_indices() == [0, 3, 12, 15]
     assert [str(i) for i in m.preserved()] == ["00", "30", "03", "33"]
     assert PceMap.from_preserved(2, m.preserved()) == m
+    assert PceMap.from_preserved(2, ["00", "30", "03", "33"]) == m
+    assert PceMap.from_preserved(2, ["00", MultiIndex(2, 3), 12, "33"]) == m
     with pytest.raises(ValueError):
         PceMap.from_preserved(1, [4])
+    for text in ("000", "3", "4a", "-1"):
+        with pytest.raises(ValueError):
+            PceMap.from_preserved(2, [text])
 
 
 def test_tau_vector_layout():
@@ -67,6 +74,18 @@ def test_bitmask_capacity_limits():
         PceMap(1, 1 << 16)  # mask wider than 4**n
     with pytest.raises(ValueError):
         PceMap(1, -1)
+
+
+def test_identity_checks_n_before_building_the_mask():
+    tracemalloc.start()
+    try:
+        for n in (14, 16):
+            with pytest.raises(CapacityError):
+                PceMap.identity(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the n = 14 mask alone is 32 MiB
 
 
 def test_single_qubit_channel_classification_exhaustive():
@@ -122,6 +141,39 @@ def test_choi_spectrum_value_counts_sorted():
         (Fraction(1, 2), 2),
         (Fraction(3, 2), 1),
     ]
+
+
+def test_channel_spectrum_hand_values():
+    # Depolarizing (K = 0): flat 1/2**n, no zero entry.
+    assert channel_spectrum(1, 0) == [(Fraction(1, 2), 4)]
+    # Dephasing (K = 1) and identity (K = 2n): 2**(K-n) on 2**(2n-K) indices.
+    assert channel_spectrum(1, 1) == [(Fraction(0), 2), (Fraction(1), 2)]
+    assert channel_spectrum(2, 4) == [(Fraction(0), 15), (Fraction(4), 1)]
+    for K in (0, 1, 2):
+        expected = choi_spectrum(subspace_to_map(closure(1, [1, 2][:K]))).value_counts()
+        assert channel_spectrum(1, K) == expected
+
+
+def test_channel_spectrum_allocates_nothing_of_size_four_to_the_n():
+    tracemalloc.start()
+    try:
+        counts = channel_spectrum(16, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [(Fraction(0), 4**16 - 2**23), (Fraction(1, 128), 2**23)]
+    assert sum(v * c for v, c in counts) == 2**16
+    assert peak < 1 << 16
+
+
+def test_channel_spectrum_rejects_bad_arguments():
+    with pytest.raises(CapacityError):
+        channel_spectrum(17, 0)
+    with pytest.raises(CapacityError):
+        channel_spectrum(0, 0)
+    for K in (-1, 5, 1.0, True, None):
+        with pytest.raises(ValueError):
+            channel_spectrum(2, K)
 
 
 def test_spectrum_sum_rule_exhaustive_two_qubits():

@@ -47,8 +47,9 @@ def test_invalid_encodings_rejected():
         MultiIndex(1, 4)
     with pytest.raises(ValueError):
         MultiIndex(1, -1)
-    with pytest.raises(ValueError):
-        MultiIndex.from_string("14")
+    for text in ("14", "", "+1", " 1", "1_0", "\u0661"):
+        with pytest.raises(ValueError):
+            MultiIndex.from_string(text)
     with pytest.raises(ValueError):
         MultiIndex.from_bit_string("101")  # odd length
 

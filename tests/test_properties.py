@@ -1,11 +1,19 @@
-"""Property tests: the bitmask conversion, index scan, reflection and closed-form
-recompose against independent per-index and fold references."""
+"""Property tests: the bitmask conversion, index scan, reflection, closed-form
+recompose and closed-form Choi spectrum against independent per-index, fold and
+sign-transform references."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcekit.generators import decompose, generator_map, recompose, recompose_subspace
-from pcekit.maps import PceMap, Subspace, reflect
+from pcekit.maps import (
+    PceMap,
+    Subspace,
+    channel_spectrum,
+    choi_spectrum,
+    reflect,
+    subspace_to_map,
+)
 from pcekit.pauli import MultiIndex
 
 # Derandomized so that every run checks the same examples.
@@ -69,3 +77,9 @@ def test_recompose_equals_fold_of_generator_maps(case):
     for label in labels:
         tau &= generator_map(label).tau
     assert recompose(labels, n) == PceMap(n, tau)
+
+
+@PROPERTY
+@given(subspaces(max_n=8))
+def test_channel_spectrum_equals_sign_transform(s):
+    assert channel_spectrum(s.n, s.dim) == choi_spectrum(subspace_to_map(s)).value_counts()
