@@ -80,20 +80,28 @@ def _load_state(doc: dict) -> tuple[int, np.ndarray]:
         raise ValueError('state document must be an object with an integer "n"')
     n = parse_qubit_count(doc.get("n"))
     if "components" in doc:
-        r = np.asarray(doc["components"], dtype=float)
-        if r.shape != (4**n,) or not np.isfinite(r).all():
-            raise ValueError(f'"components" must be {4**n} finite numbers')
-        return n, r
+        message = f'"components" must be {4**n} finite numbers'
+        return n, _finite_array(doc["components"], (4**n,), message)
     if "rho" in doc:
         rho = _parse_matrix(doc["rho"], 2**n)
         return n, pauli_components(rho)
     raise ValueError('state document needs "components" or "rho"')
 
 
+def _finite_array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries, else ValueError."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if array.shape != shape or not np.isfinite(array).all():
+        raise ValueError(message)
+    return array
+
+
 def _parse_matrix(rows, dim: int) -> np.ndarray:
-    matrix = np.asarray(rows, dtype=float)
-    if matrix.shape != (dim, dim, 2) or not np.isfinite(matrix).all():
-        raise ValueError(f'"rho" must be a {dim}x{dim} matrix of finite [re, im] pairs')
+    message = f'"rho" must be a {dim}x{dim} matrix of finite [re, im] pairs'
+    matrix = _finite_array(rows, (dim, dim, 2), message)
     return matrix[..., 0] + 1j * matrix[..., 1]
 
 
@@ -221,9 +229,8 @@ def cmd_census(args) -> int:
 
 def cmd_diagram(args) -> int:
     obj = load_channel_document(_read_json(args.channel))
-    pce = subspace_to_map(obj) if isinstance(obj, Subspace) else obj
     render = render_svg if args.diagram_format == "svg" else render_ascii
-    sys.stdout.write(render(pce))
+    sys.stdout.write(render(obj))
     return 0
 
 

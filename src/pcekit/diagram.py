@@ -15,7 +15,7 @@ exactly.
 
 from __future__ import annotations
 
-from .maps import PceMap
+from .maps import PceMap, Subspace, subspace_to_map
 from .pauli import DIAGRAM_QUBIT_LIMIT, check_qubits
 
 __all__ = ["DIAGRAM_QUBIT_LIMIT", "render_ascii", "parse_ascii", "render_svg"]
@@ -25,19 +25,21 @@ _MARGIN = 10
 _GAP = 8
 
 
-def _check_renderable(n: int) -> None:
+def _renderable(obj: PceMap | Subspace) -> PceMap:
+    """The bitmask to draw; the qubit limit is checked before it is built."""
     check_qubits(
-        n, DIAGRAM_QUBIT_LIMIT, "a grid diagram (larger maps have only the JSON form)"
+        obj.n, DIAGRAM_QUBIT_LIMIT, "a grid diagram (larger maps have only the JSON form)"
     )
+    return subspace_to_map(obj) if isinstance(obj, Subspace) else obj
 
 
 def _char(pce: PceMap, flat: int) -> str:
     return "#" if (pce.tau >> flat) & 1 else "."
 
 
-def render_ascii(pce: PceMap) -> str:
+def render_ascii(pce: PceMap | Subspace) -> str:
     """Ascii grid, one text line per qubit-1 digit; ends with a newline."""
-    _check_renderable(pce.n)
+    pce = _renderable(pce)
     lines = []
     if pce.n == 1:
         lines = [_char(pce, a) for a in range(4)]
@@ -114,9 +116,9 @@ def _svg_cells(pce: PceMap) -> tuple[int, int, list[tuple[int, int, int]]]:
     return width, _MARGIN * 2 + 4 * _CELL, cells
 
 
-def render_svg(pce: PceMap) -> str:
+def render_svg(pce: PceMap | Subspace) -> str:
     """Black/white square grid as a deterministic SVG document."""
-    _check_renderable(pce.n)
+    pce = _renderable(pce)
     width, height, cells = _svg_cells(pce)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -107,11 +107,11 @@ def semigroup_apply(
     """One-parameter interpolation to the elementary channel.
 
     Returns ``(1 + e^(-gamma t))/2 rho + (1 - e^(-gamma t))/2 P rho P``,
-    which is the identity at t = 0 and the elementary channel at t -> inf.
+    which is the identity at t = 0 and the elementary channel at t = inf.
     """
-    if gamma <= 0:
-        raise ValueError(f"rate must be positive, got {gamma}")
-    if t < 0:
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {gamma}")
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     rho = np.asarray(rho, dtype=complex)
     sigma = pauli_string_dense(label)
@@ -172,6 +172,10 @@ def rk4_evolve(
 
     Exists as an independent cross-check of `evolve`; never used by it.
     """
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    if not steps >= 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     rho = np.asarray(rho0, dtype=complex).copy()
     h = t / steps
     for _ in range(steps):
@@ -233,7 +237,7 @@ def process_from_json_dict(doc: dict) -> DissipativeProcess:
         label = MultiIndex.from_string(str(entry["alpha"]))
         try:
             gamma = float(entry["gamma"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f'"gamma" must be a number, got {entry["gamma"]!r}') from None
         terms.append((label, gamma))
     if not terms:

@@ -14,7 +14,6 @@ from .errors import CapacityError
 __all__ = [
     "reduce_vector",
     "rref",
-    "rank",
     "in_span",
     "span",
     "nullspace",
@@ -45,10 +44,6 @@ def rref(vectors) -> list[int]:
         basis.append(v)
         basis.sort(reverse=True)
     return basis
-
-
-def rank(vectors) -> int:
-    return len(rref(vectors))
 
 
 def in_span(v: int, basis: list[int]) -> bool:

@@ -287,8 +287,14 @@ def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
     return PceMap.from_bits(spectrum.n, scaled == full)
 
 
-def is_closed_subspace(pce: PceMap) -> bool:
-    """Whether the preserved index set is a GF(2) subspace.
+def _closed_basis(pce: PceMap) -> list[int] | None:
+    """Canonical RREF basis of the preserved set; None if it is not closed.
+
+    Listing a subspace's members in ascending order lists their RREF
+    coordinates in ascending order too, so the member at position ``2**i`` is
+    the basis row with the i-th lowest pivot.  The set is therefore closed
+    iff it has ``2**K`` members and the span of those K rows is the set.
+    One scan of tau, no elimination.
 
     Raises:
         TracePreservationError: if the normalization component is erased.
@@ -296,7 +302,22 @@ def is_closed_subspace(pce: PceMap) -> bool:
     if not pce.is_trace_preserving:
         raise TracePreservationError("tau at the zero index is 0")
     indices = pce.preserved_indices()
-    return 1 << gf2.rank(indices) == len(indices)
+    K = len(indices).bit_length() - 1
+    if 1 << K != len(indices):
+        return None
+    rows = [indices[1 << i] for i in range(K)]
+    if gf2.span(rows, limit=len(indices)) != indices:
+        return None
+    return rows[::-1]
+
+
+def is_closed_subspace(pce: PceMap) -> bool:
+    """Whether the preserved index set is a GF(2) subspace.
+
+    Raises:
+        TracePreservationError: if the normalization component is erased.
+    """
+    return _closed_basis(pce) is not None
 
 
 def closure_witness(
@@ -355,13 +376,14 @@ def map_to_subspace(pce: PceMap) -> Subspace:
     Raises:
         NotAChannelError: if the preserved set is not closed.
     """
-    if not is_closed_subspace(pce):
+    rows = _closed_basis(pce)
+    if rows is None:
         witness = closure_witness(pce)
         raise NotAChannelError(
             f"preserved set is not closed: {witness[0]} + {witness[1]} "
             f"gives the erased index {witness[2]}"
         )
-    return Subspace(pce.n, tuple(gf2.rref(pce.preserved_indices())))
+    return Subspace(pce.n, tuple(rows))
 
 
 def compose(first, second):
@@ -440,6 +462,7 @@ def dump_channel_document(obj: PceMap | Subspace) -> dict:
             "n": obj.n,
             "basis": [m.to_bit_string() for m in obj.basis_indices()],
         }
-    if obj.is_trace_preserving and is_closed_subspace(obj):
-        return dump_channel_document(map_to_subspace(obj))
+    rows = _closed_basis(obj) if obj.is_trace_preserving else None
+    if rows is not None:
+        return dump_channel_document(Subspace(obj.n, tuple(rows)))
     return {"n": obj.n, "preserved": [m.to_string() for m in obj.preserved()]}

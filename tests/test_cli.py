@@ -227,10 +227,17 @@ def test_diagram_svg(channel_file, capsys):
 
 
 def test_diagram_large_n_is_usage_error(tmp_path, capsys):
-    path = write_json(tmp_path, "big.json", {"n": 4, "preserved": ["0000"]})
-    code, _, err = run_cli(["diagram", path], capsys)
-    assert code == 2
-    assert "JSON" in err
+    docs = [
+        {"n": 4, "preserved": ["0000"]},
+        {"n": 4, "basis": ["00000001"]},
+        # Above the bitmask limit too: the diagram limit is reported first.
+        {"n": 14, "basis": ["0" * 27 + "1"]},
+    ]
+    for doc in docs:
+        path = write_json(tmp_path, "big.json", doc)
+        code, _, err = run_cli(["diagram", path], capsys)
+        assert code == 2, doc
+        assert "JSON" in err, err
 
 
 def test_decompose_output_and_self_check(tmp_path, capsys):
@@ -313,8 +320,15 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
         (good_proc, {"n": 1, "components": [1, float("nan"), 0, 0]}, "1.0", "finite"),
         ({"n": 1, "terms": [{"alpha": "3", "gamma": "inf"}]}, good_state, "1.0", "finite"),
         ({"n": 1, "terms": [{"alpha": "3", "gamma": None}]}, good_state, "1.0", "number"),
+        ({"n": 1, "terms": [{"alpha": "3", "gamma": 10**400}]}, good_state, "1.0", "number"),
         (good_proc, good_state, "nan", "finite"),
         (good_proc, good_state, "inf", "finite"),
+        (good_proc, {"n": 1, "components": {}}, "1.0", '"components" must be'),
+        (good_proc, {"n": 1, "components": [1, {}, 0, 0]}, "1.0", '"components" must be'),
+        (good_proc, {"n": 1, "components": "1000"}, "1.0", '"components" must be'),
+        (good_proc, {"n": 1, "components": [10**400, 0, 0, 0]}, "1.0", '"components" must be'),
+        (good_proc, {"n": 1, "rho": {"a": 1}}, "1.0", '"rho" must be'),
+        (good_proc, {"n": 1, "rho": [[[1, 0], [0, 0]], [[0, 0]]]}, "1.0", '"rho" must be'),
     ]
     for proc_doc, state_doc, t, message in cases:
         proc = write_json(tmp_path, "proc.json", proc_doc)

@@ -81,6 +81,21 @@ def test_semigroup_apply_closed_form():
         semigroup_apply(label, -1.0, 1.0, rho)
     with pytest.raises(ValueError):
         semigroup_apply(label, 1.0, -1.0, rho)
+    for gamma, t in ((float("nan"), 1.0), (float("inf"), 0.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            semigroup_apply(label, gamma, t, rho)
+    # t = inf is the elementary channel itself.
+    limit = semigroup_apply(label, 1.0, float("inf"), rho)
+    assert np.abs(limit - (rho + sigma @ rho @ sigma) / 2).max() < 1e-12
+
+
+def test_rk4_rejects_bad_steps_and_times():
+    proc = DissipativeProcess.from_terms([("3", 1.0)])
+    rho = _random_state(1, 5)
+    for t, steps in ((1.0, 0), (1.0, -3), (float("nan"), 10), (float("inf"), 10), (-1.0, 10)):
+        with pytest.raises(ValueError):
+            rk4_evolve(proc, rho, t, steps)
+    assert np.abs(rk4_evolve(proc, rho, 0.0, 1) - rho).max() == 0
 
 
 def test_semigroup_law_composition_in_time():

@@ -30,9 +30,9 @@ def test_rref_canonical_form_is_basis_independent():
 
 
 def test_rank_and_span():
-    assert gf2.rank([]) == 0
-    assert gf2.rank([0]) == 0
-    assert gf2.rank([1, 2, 3]) == 2
+    assert len(gf2.rref([])) == 0
+    assert len(gf2.rref([0])) == 0
+    assert len(gf2.rref([1, 2, 3])) == 2
     assert sorted(gf2.span([])) == [0]
     assert sorted(gf2.span([0b01, 0b10])) == [0, 1, 2, 3]
     assert sorted(gf2.span([0b11])) == [0, 3]
@@ -63,20 +63,20 @@ def test_nullspace_annihilates_and_has_right_dimension():
     for _ in range(100):
         rows = [int(x) for x in rng.integers(0, 1 << width, size=3)]
         null = gf2.nullspace(rows, width)
-        r = gf2.rank(rows)
+        r = len(gf2.rref(rows))
         assert len(null) == width - r
         # Every nullspace vector has even overlap with every constraint row.
         for v in null:
             for row in rows:
                 assert (v & row).bit_count() % 2 == 0
-        assert gf2.rank(null) == len(null)
+        assert len(gf2.rref(null)) == len(null)
         assert gf2.rref(null) == null
 
 
 def test_nullspace_of_empty_system_is_full_space():
     null = gf2.nullspace([], 4)
     assert len(null) == 4
-    assert gf2.rank(null) == 4
+    assert len(gf2.rref(null)) == 4
 
 
 def test_intersect_matches_set_intersection():

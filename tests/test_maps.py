@@ -116,6 +116,37 @@ def test_map_to_subspace_error_names_witness():
         map_to_subspace(PceMap.from_preserved(2, [0, 1, 8, 10, 11]))
 
 
+def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch):
+    import pcekit.gf2 as gf2
+
+    rng = np.random.default_rng(12)
+    sub = Subspace.from_vectors(9, [int(v) for v in rng.integers(1, 4**9, size=12)])
+    assert sub.dim == 12
+    channel = subspace_to_map(sub)
+    counts = {"scans": 0, "rref_vectors": 0}
+    scan, rref = PceMap.preserved_indices, gf2.rref
+
+    def counting_scan(self):
+        counts["scans"] += 1
+        return scan(self)
+
+    def counting_rref(vectors):
+        vectors = list(vectors)
+        counts["rref_vectors"] += len(vectors)
+        return rref(vectors)
+
+    monkeypatch.setattr(PceMap, "preserved_indices", counting_scan)
+    monkeypatch.setattr(gf2, "rref", counting_rref)
+    for call, expected in (
+        (map_to_subspace, sub),
+        (dump_channel_document, dump_channel_document(sub)),
+    ):
+        counts.update(scans=0, rref_vectors=0)
+        assert call(channel) == expected
+        assert counts["scans"] == 1, call
+        assert counts["rref_vectors"] <= 2 * sub.dim, call
+
+
 def test_choi_spectrum_hand_values():
     # tau = (1,1,1,0): sign transform gives (3,1,1,-1), denominator 2.
     spec = choi_spectrum(PceMap(1, 0b0111))

@@ -1,16 +1,23 @@
 """Property tests: the bitmask conversion, index scan, reflection, closed-form
 recompose and closed-form Choi spectrum against independent per-index, fold and
-sign-transform references."""
+sign-transform references; the closure decision against full elimination;
+document round trips; and the algebra of `compose`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcekit import gf2
 from pcekit.generators import decompose, generator_map, recompose, recompose_subspace
 from pcekit.maps import (
     PceMap,
     Subspace,
     channel_spectrum,
     choi_spectrum,
+    compose,
+    dump_channel_document,
+    is_closed_subspace,
+    load_channel_document,
+    map_to_subspace,
     reflect,
     subspace_to_map,
 )
@@ -27,10 +34,28 @@ def bitmasks(draw, max_n=5):
 
 
 @st.composite
-def subspaces(draw, max_n=16):
-    n = draw(st.integers(1, max_n))
+def subspaces(draw, max_n=16, n=None):
+    if n is None:
+        n = draw(st.integers(1, max_n))
     vectors = draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n + 2))
     return Subspace.from_vectors(n, vectors)
+
+
+@st.composite
+def closure_candidates(draw):
+    """Trace-preserving masks: subspaces (n <= 8), some with one index added
+    or removed, and random masks (n <= 4)."""
+    if draw(st.booleans()):
+        m = draw(bitmasks(max_n=4))
+        return PceMap(m.n, m.tau | 1)
+    s = draw(subspaces(max_n=8))
+    members = set(s.members())
+    edit = draw(st.sampled_from(["none", "add", "remove"]))
+    if edit == "add":
+        members.add(draw(st.integers(1, 4**s.n - 1)))
+    elif edit == "remove" and len(members) > 1:
+        members.remove(draw(st.sampled_from(sorted(members)[1:])))
+    return PceMap.from_preserved(s.n, members)
 
 
 @st.composite
@@ -83,3 +108,41 @@ def test_recompose_equals_fold_of_generator_maps(case):
 @given(subspaces(max_n=8))
 def test_channel_spectrum_equals_sign_transform(s):
     assert channel_spectrum(s.n, s.dim) == choi_spectrum(subspace_to_map(s)).value_counts()
+
+
+@PROPERTY
+@given(closure_candidates())
+def test_closure_decision_equals_full_elimination(m):
+    indices = m.preserved_indices()
+    reference = gf2.rref(indices)
+    closed = 1 << len(reference) == len(indices)
+    assert is_closed_subspace(m) == closed
+    if closed:
+        assert map_to_subspace(m).basis == tuple(reference)
+
+
+@PROPERTY
+@given(subspaces())
+def test_subspace_document_round_trips(s):
+    assert load_channel_document(dump_channel_document(s)) == s
+
+
+@PROPERTY
+@given(bitmasks())
+def test_bitmask_document_round_trips(m):
+    loaded = load_channel_document(dump_channel_document(m))
+    if isinstance(loaded, Subspace):
+        loaded = subspace_to_map(loaded)
+    assert loaded == m
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_is_intersection_and_a_semilattice(data):
+    n = data.draw(st.integers(1, 6))
+    a, b, c = (data.draw(subspaces(n=n)) for _ in range(3))
+    ab = compose(a, b)
+    assert set(ab.members()) == set(a.members()) & set(b.members())
+    assert ab == compose(b, a)
+    assert compose(ab, c) == compose(a, compose(b, c))
+    assert compose(a, a) == a
