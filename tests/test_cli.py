@@ -468,6 +468,30 @@ def test_diagram_matches_golden_files(tmp_path, capsys):
         assert out == (GOLDEN_DIR / name).read_text(), name
 
 
+NESTED_3 = {
+    "n": 3,
+    "preserved": ["000", "100", "010", "001", "123", "321", "213", "332", "031"],
+}
+DIAGRAM_GOLDEN_DOCUMENTS = {
+    "svg_1": ({"n": 1, "preserved": ["0", "2", "3"]}, "svg"),
+    "svg_2": (
+        {"n": 2, "preserved": ["00", "30", "02", "32", "11", "21", "13", "23"]},
+        "svg",
+    ),
+    "svg_3": (NESTED_3, "svg"),
+    "ascii_3": (NESTED_3, "ascii"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAM_GOLDEN_DOCUMENTS))
+def test_diagram_svg_and_nested_grid_match_golden_files(name, tmp_path, capsys):
+    doc, diagram_format = DIAGRAM_GOLDEN_DOCUMENTS[name]
+    path = write_json(tmp_path, f"{name}.json", doc)
+    code, out, _ = run_cli(["diagram", path, "--format", diagram_format], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"diagram_{name}.txt").read_text()
+
+
 def test_module_entry_point_subprocess(tmp_path):
     path = write_json(
         tmp_path, "ch.json", {"n": 1, "preserved": ["0", "3"]}

@@ -56,6 +56,8 @@ def test_parse_rejects_malformed_text():
         "##\n..\n..\n..\n",  # wrong width
         "#x\n....\n....\n....\n",  # bad character and ragged widths
         "#... .... ....\n" * 4,  # three groups instead of four
+        "......... .... ....\n" * 4,  # 19 characters but three groups
+        "#... .x.. .... ....\n" * 4,  # bad character in a nested row
     ):
         with pytest.raises(ValueError):
             parse_ascii(text)
