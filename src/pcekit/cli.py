@@ -89,12 +89,15 @@ def _load_state(doc: dict) -> tuple[int, np.ndarray]:
 
 
 def _finite_array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with finite entries, else ValueError."""
+    """``value`` as a float array of ``shape`` whose entries are finite JSON
+    numbers (strings and bools are refused), else ValueError."""
     try:
-        array = np.asarray(value, dtype=float)
+        cells = np.asarray(value, dtype=object)
+        numbers = cells.shape == shape and all(type(x) in (int, float) for x in cells.flat)
+        array = cells.astype(float) if numbers else None
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(message) from None
-    if array.shape != shape or not np.isfinite(array).all():
+        array = None
+    if array is None or not np.isfinite(array).all():
         raise ValueError(message)
     return array
 
@@ -106,9 +109,8 @@ def _parse_matrix(rows, dim: int) -> np.ndarray:
 
 
 def _dump_matrix(matrix: np.ndarray) -> list:
-    return [
-        [[float(_fmt(v.real)), float(_fmt(v.imag))] for v in row] for row in matrix
-    ]
+    """[re, im] pairs; `_emit_json` rounds them."""
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------

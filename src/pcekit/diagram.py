@@ -9,8 +9,9 @@ Layouts by qubit count:
   group), each cell an inner 1x4 strip over the qubit-3 digit; ascii
   separates the strips with one space.
 
-Rendering is byte-deterministic, and `parse_ascii` inverts `render_ascii`
-exactly.
+One table, `_LAYOUT`, holds these layouts; `render_ascii`, `parse_ascii` and
+`render_svg` all read their cells from it. Rendering is byte-deterministic,
+and `parse_ascii` inverts `render_ascii` exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,23 @@ _MARGIN = 10
 _GAP = 8
 
 
+def _layout(n: int) -> list[list[list[int]]]:
+    """Rows of cell groups, each group its flat indices in reading order.
+
+    Row = qubit-1 digit; a row's cells run over qubit 2 (n = 2), or over
+    qubit 2 as the group and qubit 3 within it (n = 3).
+    """
+    size = min(4, 4 ** (n - 1))
+    groups = 4 ** (n - 1) // size
+    return [
+        [[row + 4 * (g + groups * i) for i in range(size)] for g in range(groups)]
+        for row in range(4)
+    ]
+
+
+_LAYOUT = {n: _layout(n) for n in range(1, DIAGRAM_QUBIT_LIMIT + 1)}
+
+
 def _renderable(obj: PceMap | Subspace) -> PceMap:
     """The bitmask to draw; the qubit limit is checked before it is built."""
     check_qubits(
@@ -33,27 +51,14 @@ def _renderable(obj: PceMap | Subspace) -> PceMap:
     return subspace_to_map(obj) if isinstance(obj, Subspace) else obj
 
 
-def _char(pce: PceMap, flat: int) -> str:
-    return "#" if (pce.tau >> flat) & 1 else "."
-
-
 def render_ascii(pce: PceMap | Subspace) -> str:
     """Ascii grid, one text line per qubit-1 digit; ends with a newline."""
     pce = _renderable(pce)
-    lines = []
-    if pce.n == 1:
-        lines = [_char(pce, a) for a in range(4)]
-    elif pce.n == 2:
-        for row in range(4):
-            lines.append("".join(_char(pce, row + 4 * col) for col in range(4)))
-    else:
-        for row in range(4):
-            groups = []
-            for col in range(4):
-                groups.append(
-                    "".join(_char(pce, row + 4 * col + 16 * inner) for inner in range(4))
-                )
-            lines.append(" ".join(groups))
+    tau = pce.tau
+    lines = [
+        " ".join("".join("#" if tau >> f & 1 else "." for f in group) for group in row)
+        for row in _LAYOUT[pce.n]
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -65,71 +70,50 @@ def parse_ascii(text: str) -> PceMap:
     if len(lines) != 4:
         raise ValueError(f"expected 4 diagram lines, got {len(lines)}")
     widths = {len(line) for line in lines}
-    if widths == {1}:
-        n = 1
-    elif widths == {4}:
-        n = 2
-    elif widths == {19}:
-        n = 3
-    else:
+    # A line is its row's groups joined by single spaces.
+    n = next(
+        (n for n, rows in _LAYOUT.items()
+         if widths == {sum(map(len, rows[0])) + len(rows[0]) - 1}),
+        None,
+    )
+    if n is None:
         raise ValueError(f"unrecognized diagram line widths {sorted(widths)}")
     tau = 0
-    for row, line in enumerate(lines):
-        if n == 3:
-            groups = line.split(" ")
-            if len(groups) != 4 or any(len(g) != 4 for g in groups):
-                raise ValueError(f"bad nested row {line!r}")
-            cells = [(row + 4 * col + 16 * inner, groups[col][inner])
-                     for col in range(4) for inner in range(4)]
-        elif n == 2:
-            cells = [(row + 4 * col, line[col]) for col in range(4)]
-        else:
-            cells = [(row, line[0])]
-        for flat, char in cells:
-            if char == "#":
-                tau |= 1 << flat
-            elif char != ".":
-                raise ValueError(f"unexpected diagram character {char!r}")
+    for line, row in zip(lines, _LAYOUT[n]):
+        texts = line.split(" ") if len(row) > 1 else [line]
+        if list(map(len, texts)) != list(map(len, row)):
+            raise ValueError(f"bad nested row {line!r}")
+        for group, chars in zip(row, texts):
+            for flat, char in zip(group, chars):
+                if char == "#":
+                    tau |= 1 << flat
+                elif char != ".":
+                    raise ValueError(f"unexpected diagram character {char!r}")
     return PceMap(n, tau)
-
-
-def _svg_cells(pce: PceMap) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Canvas width/height and (x, y, flat) for every cell."""
-    if pce.n == 1:
-        cells = [(_MARGIN, _MARGIN + a * _CELL, a) for a in range(4)]
-        return _MARGIN * 2 + _CELL, _MARGIN * 2 + 4 * _CELL, cells
-    if pce.n == 2:
-        cells = [
-            (_MARGIN + col * _CELL, _MARGIN + row * _CELL, row + 4 * col)
-            for row in range(4)
-            for col in range(4)
-        ]
-        return _MARGIN * 2 + 4 * _CELL, _MARGIN * 2 + 4 * _CELL, cells
-    cells = []
-    for row in range(4):
-        for col in range(4):
-            for inner in range(4):
-                x = _MARGIN + col * (4 * _CELL + _GAP) + inner * _CELL
-                y = _MARGIN + row * _CELL
-                cells.append((x, y, row + 4 * col + 16 * inner))
-    width = _MARGIN * 2 + 16 * _CELL + 3 * _GAP
-    return width, _MARGIN * 2 + 4 * _CELL, cells
 
 
 def render_svg(pce: PceMap | Subspace) -> str:
     """Black/white square grid as a deterministic SVG document."""
     pce = _renderable(pce)
-    width, height, cells = _svg_cells(pce)
+    rows = _LAYOUT[pce.n]
+    size, groups = len(rows[0][0]), len(rows[0])
+    stride = size * _CELL + _GAP
+    width = _MARGIN * 2 + groups * stride - _GAP
+    height = _MARGIN * 2 + len(rows) * _CELL
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
     ]
-    for x, y, flat in cells:
-        fill = "#000000" if (pce.tau >> flat) & 1 else "#ffffff"
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-            f'fill="{fill}" stroke="#000000" stroke-width="1"/>'
-        )
+    for r, row in enumerate(rows):
+        y = _MARGIN + r * _CELL
+        for g, group in enumerate(row):
+            for i, flat in enumerate(group):
+                x = _MARGIN + g * stride + i * _CELL
+                fill = "#000000" if (pce.tau >> flat) & 1 else "#ffffff"
+                parts.append(
+                    f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
+                    f'fill="{fill}" stroke="#000000" stroke-width="1"/>'
+                )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

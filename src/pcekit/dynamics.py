@@ -20,6 +20,7 @@ when the label list is empty).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,14 +235,14 @@ def process_from_json_dict(doc: dict) -> DissipativeProcess:
     for entry in doc["terms"]:
         if not isinstance(entry, dict) or "alpha" not in entry or "gamma" not in entry:
             raise ValueError('each term needs "alpha" and "gamma"')
-        label = MultiIndex.from_string(str(entry["alpha"]))
-        try:
-            gamma = float(entry["gamma"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f'"gamma" must be a number, got {entry["gamma"]!r}') from None
-        terms.append((label, gamma))
-    if not terms:
-        raise ValueError("process needs at least one term")
+        alpha, gamma = entry["alpha"], entry["gamma"]
+        if not isinstance(alpha, str):
+            raise ValueError(f'"alpha" must be a base-4 string, got {alpha!r}')
+        # A JSON number (not a bool) within float range; the sign and NaN are
+        # left to DissipativeProcess.
+        if type(gamma) not in (int, float) or abs(gamma) > sys.float_info.max:
+            raise ValueError(f'"gamma" must be a positive finite number, got {gamma!r}')
+        terms.append((MultiIndex.from_string(alpha), gamma))
     proc = DissipativeProcess.from_terms(terms)
     if "n" in doc and parse_qubit_count(doc["n"]) != proc.n:
         raise ValueError('process "n" disagrees with the label length')
@@ -261,7 +262,10 @@ def process_to_json_dict(proc: DissipativeProcess) -> dict:
 def schedule_from_json_dict(doc: dict) -> CollisionSchedule:
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise ValueError('schedule document must be an object with a "labels" list')
-    labels = tuple(MultiIndex.from_string(str(t)) for t in doc["labels"])
+    for text in doc["labels"]:
+        if not isinstance(text, str):
+            raise ValueError(f'"labels" must be base-4 strings, got {text!r}')
+    labels = tuple(MultiIndex.from_string(t) for t in doc["labels"])
     if labels:
         n = labels[0].n
         if "n" in doc and parse_qubit_count(doc["n"]) != n:

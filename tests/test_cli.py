@@ -329,6 +329,17 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
         (good_proc, {"n": 1, "components": [10**400, 0, 0, 0]}, "1.0", '"components" must be'),
         (good_proc, {"n": 1, "rho": {"a": 1}}, "1.0", '"rho" must be'),
         (good_proc, {"n": 1, "rho": [[[1, 0], [0, 0]], [[0, 0]]]}, "1.0", '"rho" must be'),
+        # JSON strings and bools are not numbers.
+        (good_proc, {"n": 1, "components": ["1", True, 0, 0]}, "1.0", '"components" must be'),
+        (
+            good_proc,
+            {"n": 1, "rho": [[["0.5", 0], [0, False]], [[0, 0], [0.5, 0]]]},
+            "1.0",
+            '"rho" must be',
+        ),
+        ({"terms": [{"alpha": 3, "gamma": True}]}, good_state, "1.0", '"alpha" must be'),
+        ({"terms": [{"alpha": "3", "gamma": True}]}, good_state, "1.0", "finite number"),
+        ({"terms": [{"alpha": "3", "gamma": "1"}]}, good_state, "1.0", "finite number"),
     ]
     for proc_doc, state_doc, t, message in cases:
         proc = write_json(tmp_path, "proc.json", proc_doc)
@@ -340,11 +351,16 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
 
 def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
     state = write_json(tmp_path, "state.json", {"n": 1, "components": [1, 0, 0, 0]})
-    for doc in ({"n": True, "labels": ["3"]}, {"n": True, "labels": []}):
+    for doc, message in (
+        ({"n": True, "labels": ["3"]}, '"n" must be an integer'),
+        ({"n": True, "labels": []}, '"n" must be an integer'),
+        ({"labels": [3]}, '"labels" must be base-4 strings'),
+        ({"n": 1, "labels": ["3", True]}, '"labels" must be base-4 strings'),
+    ):
         sched = write_json(tmp_path, "sched.json", doc)
         code, out, err = run_cli(["collide", sched, state], capsys)
         assert (code, out) == (2, ""), doc
-        assert '"n" must be an integer' in err
+        assert message in err
 
 
 def test_evolve_accepts_density_matrix_state(tmp_path, capsys):
