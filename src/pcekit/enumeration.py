@@ -4,7 +4,9 @@ The number of channels on ``n`` qubits with a K-dimensional preserved
 subspace is the Gaussian binomial coefficient counting K-dimensional
 subspaces of GF(2)^(2n).  Enumeration generates canonical RREF bases
 directly — choose the pivot columns, then fill the free entries — so each
-subspace appears exactly once, with no filtering of raw subsets.
+subspace appears exactly once, with no filtering of raw subsets.  The rows
+are canonical by construction, so the generated subspaces are not
+re-validated.
 """
 
 from __future__ import annotations
@@ -75,26 +77,28 @@ def enumerate_subspaces(
 
 
 def _generate(n: int, K: int) -> Iterator[Subspace]:
-    width = 2 * n
-    if K == 0:
-        yield Subspace(n, ())
-        return
-    for pivot_set in itertools.combinations(range(width), K):
-        pivots = sorted(pivot_set, reverse=True)
-        # Free slots of the RREF pattern: positions below each row's pivot
-        # that are not pivots themselves, listed row-major.
-        slots = [
-            (row, q)
-            for row, p in enumerate(pivots)
-            for q in range(p - 1, -1, -1)
-            if q not in pivot_set
-        ]
-        for bits in range(1 << len(slots)):
-            rows = [1 << p for p in pivots]
-            for position, (row, q) in enumerate(slots):
-                if (bits >> (len(slots) - 1 - position)) & 1:
-                    rows[row] |= 1 << q
-            yield Subspace(n, tuple(rows))
+    """The stream behind `enumerate_subspaces`, which checked ``n`` and ``K``.
+
+    A pivot set (rows in descending pivot order) fixes each row's candidate
+    values: its pivot bit plus every subset of the non-pivot positions below
+    it, in ascending order.  The product of the rows' candidates, first row
+    outermost, lists every RREF basis with those pivots in the documented
+    order.  The rows are canonical by construction, so each basis goes
+    through the trusted `Subspace._canonical` and is not re-validated.  For
+    K = 0 the one empty pivot set gives the one empty basis.
+    """
+    canonical = Subspace._canonical
+    for pivot_set in itertools.combinations(range(2 * n), K):
+        rows = []
+        for p in reversed(pivot_set):
+            values = [1 << p]
+            for q in range(p):
+                if q not in pivot_set:
+                    bit = 1 << q
+                    values += [v | bit for v in values]
+            rows.append(values)
+        for basis in itertools.product(*rows):
+            yield canonical(n, basis)
 
 
 def recount_by_enumeration(n: int, K: int) -> int:

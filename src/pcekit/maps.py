@@ -173,6 +173,15 @@ class Subspace:
             raise ValueError("basis is not in canonical reduced row echelon form")
 
     @classmethod
+    def _canonical(cls, n: int, basis: tuple[int, ...]) -> "Subspace":
+        """Trusted constructor: ``basis`` must already be canonical RREF for a
+        qubit count that passed `check_qubits`.  Nothing is checked."""
+        subspace = object.__new__(cls)
+        object.__setattr__(subspace, "n", n)
+        object.__setattr__(subspace, "basis", basis)
+        return subspace
+
+    @classmethod
     def from_vectors(cls, n: int, vectors) -> "Subspace":
         """Span of arbitrary vectors (MultiIndex or packed int), canonicalized."""
         codes = [v.code if isinstance(v, MultiIndex) else int(v) for v in vectors]

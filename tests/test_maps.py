@@ -260,8 +260,9 @@ def test_subspace_canonicalization_and_equality():
     assert a.dim == 2
     assert a.members() == [0, 3, 12, 15]
     assert a.contains(15) and not a.contains(1)
-    with pytest.raises(ValueError):
-        Subspace(2, (0b0011, 0b1111))  # not canonical RREF
+    for rows in ((0b0011, 0b1111), (1, 3)):
+        with pytest.raises(ValueError, match="canonical reduced row echelon"):
+            Subspace(2, rows)
     with pytest.raises(ValueError):
         Subspace(1, (4,))  # out of range
 

@@ -1,12 +1,18 @@
 """Property tests: the bitmask conversion, index scan, reflection, closed-form
 recompose and closed-form Choi spectrum against independent per-index, fold and
 sign-transform references; the closure decision against full elimination;
+the enumeration's unchecked subspaces against the validating constructor;
 document round trips; and the algebra of `compose`."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcekit.maps
 from pcekit import gf2
+from pcekit.enumeration import count_channels, enumerate_subspaces
 from pcekit.generators import decompose, generator_map, recompose, recompose_subspace
 from pcekit.maps import (
     PceMap,
@@ -119,6 +125,39 @@ def test_closure_decision_equals_full_elimination(m):
     assert is_closed_subspace(m) == closed
     if closed:
         assert map_to_subspace(m).basis == tuple(reference)
+
+
+def assert_canonical(s):
+    """``s`` is what the validating constructor would build from its rows."""
+    assert gf2.rref(list(s.basis)) == list(s.basis)
+    assert Subspace(s.n, s.basis) == s
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_enumerated_subspace_passes_validation(n):
+    for K in range(2 * n + 1):
+        for s in enumerate_subspaces(n, K):
+            assert (s.n, s.dim) == (n, K)
+            assert_canonical(s)
+
+
+@PROPERTY
+@given(st.data())
+def test_sampled_enumerated_subspaces_pass_validation(data):
+    n = data.draw(st.integers(3, 4))
+    K = data.draw(st.integers(0, 2 * n))
+    index = data.draw(st.integers(0, count_channels(n, K) - 1))
+    s = next(itertools.islice(enumerate_subspaces(n, K), index, None))
+    assert (s.n, s.dim) == (n, K)
+    assert_canonical(s)
+
+
+def test_enumeration_does_not_re_canonicalize(monkeypatch):
+    def refuse(vectors):
+        raise AssertionError("gf2.rref called while enumerating")
+
+    monkeypatch.setattr(pcekit.maps.gf2, "rref", refuse)
+    assert sum(1 for K in range(5) for _ in enumerate_subspaces(2, K)) == 67
 
 
 @PROPERTY
