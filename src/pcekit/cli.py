@@ -16,7 +16,12 @@ import sys
 
 import numpy as np
 
-from .dense import choi_min_eigenvalues, from_pauli_components, pauli_components
+from .dense import (
+    check_state_components,
+    choi_min_eigenvalues,
+    from_pauli_components,
+    pauli_components,
+)
 from .diagram import render_ascii, render_svg
 from .dynamics import (
     collide,
@@ -74,18 +79,21 @@ def _read_json(path: str):
         return json.load(handle)
 
 
-def _load_state(doc: dict) -> tuple[int, np.ndarray]:
-    """State document -> (n, component vector)."""
+def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
+    """State document -> (n, component vector) of a density matrix within
+    ``tol`` (see `check_state_components`)."""
     if not isinstance(doc, dict):
         raise ValueError('state document must be an object with an integer "n"')
     n = parse_qubit_count(doc.get("n"))
     if "components" in doc:
         message = f'"components" must be {4**n} finite numbers'
-        return n, _finite_array(doc["components"], (4**n,), message)
-    if "rho" in doc:
-        rho = _parse_matrix(doc["rho"], 2**n)
-        return n, pauli_components(rho)
-    raise ValueError('state document needs "components" or "rho"')
+        r = _finite_array(doc["components"], (4**n,), message)
+    elif "rho" in doc:
+        r = pauli_components(_parse_matrix(doc["rho"], 2**n))
+    else:
+        raise ValueError('state document needs "components" or "rho"')
+    check_state_components(r, tol)
+    return n, r
 
 
 def _finite_array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
@@ -258,7 +266,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_evolve(args) -> int:
     proc = process_from_json_dict(_read_json(args.process))
-    n, r0 = _load_state(_read_json(args.state))
+    n, r0 = _load_state(_read_json(args.state), args.tol)
     if n != proc.n:
         raise DimensionMismatchError(
             f"state has n={n} but process has n={proc.n}"
@@ -282,7 +290,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_collide(args) -> int:
     schedule = schedule_from_json_dict(_read_json(args.schedule))
-    n, r0 = _load_state(_read_json(args.state))
+    n, r0 = _load_state(_read_json(args.state), args.tol)
     if n != schedule.n:
         raise DimensionMismatchError(
             f"state has n={n} but schedule has n={schedule.n}"

@@ -38,6 +38,7 @@ __all__ = [
     "pauli_components",
     "from_pauli_components",
     "purity_from_components",
+    "check_state_components",
     "apply_pce",
     "apply_generator_kraus",
     "choi_basis_terms",
@@ -93,6 +94,34 @@ def purity_from_components(r: np.ndarray) -> float:
     r = np.asarray(r, dtype=float)
     n = _infer_n_components(r.size)
     return float(np.dot(r, r)) / 2**n
+
+
+def check_state_components(r: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise ValueError, naming the failed condition, unless ``r`` are the
+    Pauli components of a density matrix within ``tol``.
+
+    The conditions are unit trace (``r_0 = 1``) and positivity: for
+    ``n <= DENSE_QUBIT_LIMIT`` the smallest eigenvalue of the rebuilt matrix
+    is ``>= -tol``; beyond, where no dense matrix is built, the necessary
+    conditions ``|r_f| <= 1`` and purity ``2**-n * sum_f r_f**2 <= 1``.
+    """
+    r = np.asarray(r, dtype=float)
+    n = _infer_n_components(r.size)
+    if not abs(r[0] - 1) <= tol:
+        raise ValueError(f"state is not unit trace: r_0 = {r[0]:.12g}, expected 1")
+    if n <= DENSE_QUBIT_LIMIT:
+        lowest = np.linalg.eigvalsh(from_pauli_components(r)).min()
+        if not lowest >= -tol:
+            raise ValueError(
+                f"state is not positive semidefinite: smallest eigenvalue {lowest:.12g}"
+            )
+        return
+    largest = np.abs(r).max()
+    if not largest <= 1 + tol:
+        raise ValueError(f"state breaks |r_f| <= 1: max |r_f| = {largest:.12g}")
+    purity = purity_from_components(r)
+    if not purity <= 1 + tol:
+        raise ValueError(f"state breaks purity <= 1: 2**-n * sum r_f**2 = {purity:.12g}")
 
 
 def apply_pce(pce: PceMap, state: np.ndarray) -> np.ndarray:

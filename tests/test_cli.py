@@ -340,6 +340,13 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
         ({"terms": [{"alpha": 3, "gamma": True}]}, good_state, "1.0", '"alpha" must be'),
         ({"terms": [{"alpha": "3", "gamma": True}]}, good_state, "1.0", "finite number"),
         ({"terms": [{"alpha": "3", "gamma": "1"}]}, good_state, "1.0", "finite number"),
+        # States must be density matrices: unit trace, positive semidefinite,
+        # and beyond the dense limit |r_f| <= 1 and purity <= 1.
+        (good_proc, {"n": 1, "rho": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}, "1.0", "unit trace"),
+        (good_proc, {"n": 1, "rho": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, "1.0", "unit trace"),
+        (good_proc, {"n": 1, "components": [1, 0.8, 0, 0.8]}, "1.0", "positive semidefinite"),
+        (good_proc, {"n": 6, "components": [1, 2] + [0] * 4094}, "1.0", "|r_f| <= 1"),
+        (good_proc, {"n": 6, "components": [1] + [0.5] * 4095}, "1.0", "purity <= 1"),
     ]
     for proc_doc, state_doc, t, message in cases:
         proc = write_json(tmp_path, "proc.json", proc_doc)
@@ -350,16 +357,20 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
 
 
 def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
-    state = write_json(tmp_path, "state.json", {"n": 1, "components": [1, 0, 0, 0]})
-    for doc, message in (
-        ({"n": True, "labels": ["3"]}, '"n" must be an integer'),
-        ({"n": True, "labels": []}, '"n" must be an integer'),
-        ({"labels": [3]}, '"labels" must be base-4 strings'),
-        ({"n": 1, "labels": ["3", True]}, '"labels" must be base-4 strings'),
+    good_sched = {"n": 1, "labels": ["3"]}
+    good_state = {"n": 1, "components": [1, 0, 0, 0]}
+    for sched_doc, state_doc, message in (
+        ({"n": True, "labels": ["3"]}, good_state, '"n" must be an integer'),
+        ({"n": True, "labels": []}, good_state, '"n" must be an integer'),
+        ({"labels": [3]}, good_state, '"labels" must be base-4 strings'),
+        ({"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
+        (good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
+        (good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
     ):
-        sched = write_json(tmp_path, "sched.json", doc)
+        sched = write_json(tmp_path, "sched.json", sched_doc)
+        state = write_json(tmp_path, "state.json", state_doc)
         code, out, err = run_cli(["collide", sched, state], capsys)
-        assert (code, out) == (2, ""), doc
+        assert (code, out) == (2, ""), (sched_doc, state_doc)
         assert message in err
 
 

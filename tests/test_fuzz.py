@@ -1,14 +1,17 @@
 """Fuzzed documents through the CLI: every call returns 0, 1 or 2 and never raises.
 
 Documents are arbitrary JSON values or near-valid ones, in which any part may
-be swapped for an arbitrary JSON value.  Derandomized, so every run feeds the
-same documents.
+be swapped for an arbitrary JSON value.  A state document that is accepted
+must describe a density matrix.  Derandomized, so every run feeds the same
+documents.
 """
 
 import contextlib
+import functools
 import io
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
+TOL = 1e-9  # the CLI's default --tol
 VALID_PROCESS = {"terms": [{"alpha": "3", "gamma": 1.0}]}
 VALID_SCHEDULE = {"labels": ["3"]}
 VALID_STATE = {"n": 1, "components": [1.0, 0.5, 0.0, 0.5]}
@@ -59,14 +63,21 @@ def channel_documents(draw):
 
 @st.composite
 def state_documents(draw):
-    n = draw(st.integers(1, 2))
+    """(n, document); the unit-trace components are scaled so that some are
+    positive semidefinite and some are not."""
+    n = draw(st.integers(1, 3))
     number = st.floats(-1, 1)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["components", "rho", "unit trace"]))
+    if kind == "components":
         body = {"components": draw(near(sized_lists(number, 4**n)))}
-    else:
+    elif kind == "rho":
         row = sized_lists(sized_lists(number, 2), 2**n)
         body = {"rho": draw(near(sized_lists(row, 2**n)))}
-    return draw(near(st.just({"n": draw(near(st.just(n))), **body})))
+    else:
+        scale = draw(st.sampled_from([1.0, 2.0**-n, 4.0**-n]))
+        rest = draw(st.lists(number, min_size=4**n - 1, max_size=4**n - 1))
+        body = {"components": [1.0] + [scale * x for x in rest]}
+    return n, draw(near(st.just({"n": draw(near(st.just(n))), **body})))
 
 
 @st.composite
@@ -106,15 +117,40 @@ def test_channel_documents_end_in_an_exit_code(tmp_path_factory, doc, fmt):
         assert run(["--format", fmt, *argv]) in (0, 1, 2), (argv, doc)
 
 
+@functools.cache
+def pauli_string(n: int, flat: int) -> np.ndarray:
+    """Kronecker product of single-qubit Paulis, qubit 1 leftmost."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    out = np.ones((1, 1))
+    for k in range(n):
+        out = np.kron(out, paulis[(flat >> (2 * k)) & 3])
+    return out
+
+
+def density_matrix(n: int, doc: dict) -> np.ndarray:
+    if "components" in doc:
+        r = doc["components"]
+        return sum(r[f] * pauli_string(n, f) for f in range(4**n)) / 2**n
+    return np.array(doc["rho"])[..., 0] + 1j * np.array(doc["rho"])[..., 1]
+
+
 @FUZZ
-@given(doc=state_documents())
-def test_state_documents_end_in_an_exit_code(tmp_path_factory, doc):
+@given(case=state_documents())
+def test_state_documents_end_in_an_exit_code(tmp_path_factory, case):
+    n, doc = case
     directory = tmp_path_factory.getbasetemp()
     state = write(directory, "fuzz_state.json", doc)
-    process = write(directory, "fuzz_process.json", VALID_PROCESS)
-    schedule = write(directory, "fuzz_schedule.json", VALID_SCHEDULE)
-    assert run(["evolve", process, state, "1.0", "--steps", "2"]) in (0, 1, 2), doc
-    assert run(["collide", schedule, state]) in (0, 1, 2), doc
+    process = write(directory, "fuzz_process.json", {"terms": [{"alpha": "3" * n, "gamma": 1.0}]})
+    schedule = write(directory, "fuzz_schedule.json", {"labels": ["3" * n]})
+    accepted = []
+    for argv in (["evolve", process, state, "1.0", "--steps", "2"], ["collide", schedule, state]):
+        code = run(argv)
+        assert code in (0, 1, 2), (argv, doc)
+        accepted.append(code == 0)
+    if any(accepted):
+        rho = density_matrix(n, doc)
+        assert abs(np.trace(rho) - 1) <= TOL, doc
+        assert np.linalg.eigvalsh(rho).min() >= -TOL, doc
 
 
 @FUZZ
