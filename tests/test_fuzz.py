@@ -32,8 +32,6 @@ JSON_VALUES = st.recursive(
 )
 
 TOL = 1e-9  # the CLI's default --tol
-VALID_PROCESS = {"terms": [{"alpha": "3", "gamma": 1.0}]}
-VALID_SCHEDULE = {"labels": ["3"]}
 VALID_STATE = {"n": 1, "components": [1.0, 0.5, 0.0, 0.5]}
 
 
@@ -131,7 +129,8 @@ def density_matrix(n: int, doc: dict) -> np.ndarray:
     if "components" in doc:
         r = doc["components"]
         return sum(r[f] * pauli_string(n, f) for f in range(4**n)) / 2**n
-    return np.array(doc["rho"])[..., 0] + 1j * np.array(doc["rho"])[..., 1]
+    pairs = np.array(doc["rho"])
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 @FUZZ
