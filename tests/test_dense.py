@@ -8,6 +8,7 @@ import pytest
 from pcekit.dense import (
     apply_generator_kraus,
     apply_pce,
+    choi_basis_terms,
     choi_dense,
     choi_pauli_vector,
     common_eigenbasis,
@@ -24,7 +25,7 @@ from pcekit.enumeration import enumerate_subspaces
 from pcekit.errors import DimensionMismatchError, InvalidStabilizerSetError
 from pcekit.generators import generator_map
 from pcekit.maps import PceMap, choi_spectrum, is_closed_subspace, subspace_to_map
-from pcekit.pauli import MultiIndex, commutes, pauli_string_dense
+from pcekit.pauli import SINGLE_QUBIT_PAULIS, MultiIndex, commutes, pauli_string_dense
 
 
 def _random_states(n: int, count: int, seed: int) -> list[np.ndarray]:
@@ -97,6 +98,41 @@ def test_choi_eigenvectors_are_vectorized_pauli_strings():
     for a in range(16):
         v = choi_pauli_vector(MultiIndex(2, a))
         assert np.abs(C @ v - values[a] * v).max() < 1e-12
+
+
+def _reference_choi_term(n: int, code: int) -> np.ndarray:
+    """Explicit chain of kron(sigma, sigma*) per qubit, from a 1x1 [[1+0j]]."""
+    term = np.array([[1.0 + 0j]])
+    for k in range(n):
+        sigma = SINGLE_QUBIT_PAULIS[(code >> (2 * k)) & 3]
+        term = np.kron(term, np.kron(sigma, sigma.conj()))
+    return term
+
+
+def _reference_choi_vector(n: int, code: int) -> np.ndarray:
+    """Explicit chain of vectorized sigma per qubit, from a length-1 [1+0j]."""
+    vec = np.array([1.0 + 0j])
+    for k in range(n):
+        vec = np.kron(vec, SINGLE_QUBIT_PAULIS[(code >> (2 * k)) & 3].reshape(4))
+    return vec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_basis_terms_bytes_match_kron_chain(n):
+    expected = np.stack([_reference_choi_term(n, code) for code in range(4**n)])
+    terms = choi_basis_terms(n)
+    assert (terms.dtype, terms.shape) == (expected.dtype, expected.shape)
+    assert terms.tobytes() == expected.tobytes()
+    assert not terms.flags.writeable
+
+
+def test_choi_pauli_vector_bytes_match_kron_chain():
+    for n in (1, 2, 3):
+        for code in range(4**n):
+            got = choi_pauli_vector(MultiIndex(n, code))
+            expected = _reference_choi_vector(n, code)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes(), (n, code)
 
 
 def test_choi_positivity_agrees_with_subspace_criterion_sampled():

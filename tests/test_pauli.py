@@ -182,6 +182,33 @@ def test_pauli_basis_orthogonality_and_hermiticity():
         assert np.allclose(basis, basis.conj().transpose(0, 2, 1), atol=1e-12)
 
 
+def _reference_pauli_string(n: int, code: int) -> np.ndarray:
+    """Explicit np.kron chain from qubit 1's factor, qubit 1 leftmost."""
+    out = SINGLE_QUBIT_PAULIS[code & 3]
+    for k in range(1, n):
+        out = np.kron(out, SINGLE_QUBIT_PAULIS[(code >> (2 * k)) & 3])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_basis_bytes_match_kron_chain(n):
+    expected = np.stack([_reference_pauli_string(n, code) for code in range(4**n)])
+    basis = pauli_basis(n)
+    assert (basis.dtype, basis.shape) == (expected.dtype, expected.shape)
+    assert basis.tobytes() == expected.tobytes()
+
+
+def test_pauli_string_dense_bytes_match_kron_chain():
+    labels = [(n, code) for n in (1, 2, 3) for code in range(4**n)]
+    rng = np.random.default_rng(2024)
+    labels += [(n, int(code)) for n in (4, 5) for code in rng.integers(0, 4**n, size=100)]
+    for n, code in labels:
+        got = pauli_string_dense(MultiIndex(n, code))
+        expected = _reference_pauli_string(n, code)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes(), (n, code)
+
+
 def test_pauli_basis_is_read_only():
     basis = pauli_basis(1)
     with pytest.raises(ValueError):
