@@ -5,8 +5,8 @@ Everything here works with explicit numpy arrays: density matrices are
 the most significant bit of a basis index), Pauli-component vectors are flat
 real arrays of length ``4**n`` indexed by flat multi-index.  These routines
 are the independent cross-check for the symbolic bitmask path: Choi matrices
-are built by explicit Kronecker sums and handed to a Hermitian eigensolver,
-with no reuse of the exact integer transform.
+are sums of `pauli._kron_table` Kronecker products handed to a Hermitian
+eigensolver, with no reuse of the exact integer transform.
 
 Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
 ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
@@ -26,7 +26,8 @@ from .pauli import (
     CHOI_QUBIT_LIMIT,
     DENSE_QUBIT_LIMIT,
     MultiIndex,
-    SINGLE_QUBIT_PAULIS,
+    _PAULI_STACK,
+    _kron_table,
     _sp_parity,
     check_qubits,
     pauli_basis,
@@ -96,26 +97,27 @@ def purity_from_components(r: np.ndarray) -> float:
     return float(np.dot(r, r)) / 2**n
 
 
-def check_state_components(r: np.ndarray, tol: float = 1e-9) -> None:
+def check_state_components(r: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
     """Raise ValueError, naming the failed condition, unless ``r`` are the
     Pauli components of a density matrix within ``tol``.
 
     The conditions are unit trace (``r_0 = 1``) and positivity: for
     ``n <= DENSE_QUBIT_LIMIT`` the smallest eigenvalue of the rebuilt matrix
-    is ``>= -tol``; beyond, where no dense matrix is built, the necessary
-    conditions ``|r_f| <= 1`` and purity ``2**-n * sum_f r_f**2 <= 1``.
+    is ``>= -tol`` (that matrix is returned); beyond, where no dense matrix is
+    built (None is returned), ``|r_f| <= 1`` and ``2**-n * sum_f r_f**2 <= 1``.
     """
     r = np.asarray(r, dtype=float)
     n = _infer_n_components(r.size)
     if not abs(r[0] - 1) <= tol:
         raise ValueError(f"state is not unit trace: r_0 = {r[0]:.12g}, expected 1")
     if n <= DENSE_QUBIT_LIMIT:
-        lowest = np.linalg.eigvalsh(from_pauli_components(r)).min()
+        rho = from_pauli_components(r)
+        lowest = np.linalg.eigvalsh(rho).min()
         if not lowest >= -tol:
             raise ValueError(
                 f"state is not positive semidefinite: smallest eigenvalue {lowest:.12g}"
             )
-        return
+        return rho
     largest = np.abs(r).max()
     if not largest <= 1 + tol:
         raise ValueError(f"state breaks |r_f| <= 1: max |r_f| = {largest:.12g}")
@@ -147,24 +149,20 @@ def apply_generator_kraus(label: MultiIndex, rho: np.ndarray) -> np.ndarray:
     return (rho + sigma @ rho @ sigma) / 2
 
 
+_ONE = np.ones((1, 1, 1), dtype=complex)  # Choi chains start here: it sets zero signs
+_CHOI_STACK = np.stack([np.kron(s, s.conj()) for s in _PAULI_STACK])
+
+
 @functools.lru_cache(maxsize=4)
 def choi_basis_terms(n: int) -> np.ndarray:
     """Per-index Choi building blocks, stacked along axis 0.
 
     Term ``f`` is the Kronecker chain over qubits of (P_digit x P_digit*),
-    with the system and copy factor of each qubit adjacent.  Cached and
-    read-only.
+    with the system and copy factor of each qubit adjacent: a `_kron_table`
+    of n per-qubit stacks after a 1x1 one.  Cached and read-only.
     """
     check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
-    dim = 4**n
-    out = np.empty((dim, dim, dim), dtype=complex)
-    for f in range(dim):
-        idx = MultiIndex(n, f)
-        term = np.array([[1.0 + 0j]])
-        for k in range(1, n + 1):
-            sigma = SINGLE_QUBIT_PAULIS[idx.digit(k)]
-            term = np.kron(term, np.kron(sigma, sigma.conj()))
-        out[f] = term
+    out = _kron_table([_ONE] + [_CHOI_STACK] * n)
     out.setflags(write=False)
     return out
 
@@ -195,11 +193,10 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
 
 
 def choi_pauli_vector(a: MultiIndex) -> np.ndarray:
-    """Vectorized Pauli string in the Choi matrix's interleaved qubit order."""
-    vec = np.array([1.0 + 0j])
-    for k in range(1, a.n + 1):
-        vec = np.kron(vec, SINGLE_QUBIT_PAULIS[a.digit(k)].reshape(4))
-    return vec
+    """Vectorized Pauli string in the Choi matrix's interleaved qubit order: a
+    one-entry `_kron_table` of (1, 1, 4) factors after a 1x1 one."""
+    factors = [_PAULI_STACK[d].reshape(1, 1, 4) for d in a.digits]
+    return _kron_table([_ONE] + factors)[0, 0]
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -209,13 +206,10 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     kept = sorted({int(k) - 1 for k in keep})
     if not kept or kept[0] < 0 or kept[-1] >= n:
         raise ValueError(f"keep must be a nonempty subset of 1..{n}")
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = list(row)
-    for offset, i in enumerate(kept):
-        col[i] = chr(ord("a") + n + offset)
-    spec = "".join(row) + "".join(col)
-    out = "".join(row[i] for i in kept) + "".join(col[i] for i in kept)
-    reduced = np.einsum(f"{spec}->{out}", rho.reshape((2,) * (2 * n)))
+    # Axis labels: row i is i, column i is i when traced out (summed), else n + i.
+    col = [n + i if i in kept else i for i in range(n)]
+    out = kept + [n + i for i in kept]
+    reduced = np.einsum(rho.reshape((2,) * (2 * n)), [*range(n), *col], out)
     dim = 2 ** len(kept)
     return reduced.reshape(dim, dim)
 
@@ -307,12 +301,8 @@ def pauli_transfer_matrix(channel, n: int) -> np.ndarray:
     the 0/1 mask on the diagonal.
     """
     basis = pauli_basis(n)
-    dim = 4**n
-    out = np.empty((dim, dim), dtype=complex)
-    for b in range(dim):
-        image = channel(basis[b])
-        out[:, b] = np.einsum("aij,ji->a", basis, image) / 2**n
-    return out
+    images = np.array([channel(p) for p in basis], dtype=complex)
+    return np.einsum("aij,bji->ab", basis, images) / 2**n
 
 
 def is_positive_semidefinite(matrix: np.ndarray, tol: float = 1e-9) -> bool:

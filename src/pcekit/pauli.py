@@ -66,6 +66,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SINGLE_QUBIT_PAULIS = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_STACK = np.stack(SINGLE_QUBIT_PAULIS)  # the one-qubit `_kron_table` factor
 
 # sign(alpha, beta) for single-qubit digits: -1 iff both non-identity and distinct.
 SIGN_TABLE = np.array(
@@ -230,8 +231,7 @@ def a_entry(alpha: int, beta: int) -> int:
 
 def A_entry(a: MultiIndex, b: MultiIndex) -> int:
     """N-qubit conjugation sign: product of per-digit signs."""
-    _check_same_n(a, b)
-    return -1 if _sp_parity(a.code, b.code, a.n) else 1
+    return 1 - 2 * symplectic_product(a, b)
 
 
 def symplectic_product(a: MultiIndex, b: MultiIndex) -> int:
@@ -285,25 +285,32 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def pauli_string_dense(a: MultiIndex) -> np.ndarray:
-    """Dense ``2**n x 2**n`` matrix of the Pauli string, qubit 1 leftmost."""
-    check_qubits(a.n, DENSE_QUBIT_LIMIT, "a dense matrix")
-    out = SINGLE_QUBIT_PAULIS[a.digit(1)]
-    for k in range(2, a.n + 1):
-        out = np.kron(out, SINGLE_QUBIT_PAULIS[a.digit(k)])
+def _kron_table(stacks) -> np.ndarray:
+    """Kronecker products of one factor from each ``(m_k, r_k, c_k)`` stack.
+
+    Entry ``i_1 + m_1 * (i_2 + m_2 * ...)`` is ``kron(stacks[0][i_1],
+    stacks[1][i_2], ...)``, multiplied from the first (leftmost) factor on.
+    """
+    out = np.array(stacks[0], dtype=complex)
+    for stack in stacks[1:]:
+        product = out[None, :, :, None, :, None] * stack[:, None, None, :, None, :]
+        out = product.reshape(np.multiply(stack.shape, out.shape))
     return out
+
+
+def pauli_string_dense(a: MultiIndex) -> np.ndarray:
+    """Dense ``2**n x 2**n`` Pauli string, qubit 1 leftmost (`_kron_table`)."""
+    check_qubits(a.n, DENSE_QUBIT_LIMIT, "a dense matrix")
+    return _kron_table([_PAULI_STACK[d : d + 1] for d in a.digits])[0]
 
 
 @functools.lru_cache(maxsize=8)
 def pauli_basis(n: int) -> np.ndarray:
     """All ``4**n`` dense Pauli strings stacked along axis 0, flat-index order.
 
-    The returned array is read-only and cached per ``n``.
+    One `_kron_table` of n single-qubit stacks; read-only and cached per ``n``.
     """
     check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
-    dim = 2**n
-    out = np.empty((4**n, dim, dim), dtype=complex)
-    for code in range(4**n):
-        out[code] = pauli_string_dense(MultiIndex(n, code))
+    out = _kron_table([_PAULI_STACK] * n)
     out.setflags(write=False)
     return out
