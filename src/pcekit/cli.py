@@ -16,12 +16,7 @@ import sys
 
 import numpy as np
 
-from .dense import (
-    check_state_components,
-    choi_min_eigenvalues,
-    from_pauli_components,
-    pauli_components,
-)
+from .dense import check_state_components, choi_min_eigenvalues, pauli_components
 from .diagram import render_ascii, render_svg
 from .dynamics import (
     collide,
@@ -30,7 +25,7 @@ from .dynamics import (
     process_from_json_dict,
     schedule_from_json_dict,
 )
-from .enumeration import census, recount_by_enumeration
+from .enumeration import DEFAULT_ENUMERATION_LIMIT, census, recount_by_enumeration
 from .errors import (
     DimensionMismatchError,
     InvalidStabilizerSetError,
@@ -50,7 +45,14 @@ from .maps import (
     map_to_subspace,
     subspace_to_map,
 )
-from .pauli import CHOI_QUBIT_LIMIT, N_MAX, TAU_QUBIT_LIMIT, parse_qubit_count
+from .pauli import (
+    CHOI_QUBIT_LIMIT,
+    DENSE_QUBIT_LIMIT,
+    N_MAX,
+    TAU_QUBIT_LIMIT,
+    check_qubits,
+    parse_qubit_count,
+)
 
 
 def _fmt(x: float) -> str:
@@ -79,9 +81,9 @@ def _read_json(path: str):
         return json.load(handle)
 
 
-def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
-    """State document -> (n, component vector) of a density matrix within
-    ``tol`` (see `check_state_components`)."""
+def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """State document -> (n, component vector, dense matrix or None) of a
+    density matrix within ``tol`` (see `check_state_components`)."""
     if not isinstance(doc, dict):
         raise ValueError('state document must be an object with an integer "n"')
     n = parse_qubit_count(doc.get("n"))
@@ -89,11 +91,10 @@ def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
         message = f'"components" must be {4**n} finite numbers'
         r = _finite_array(doc["components"], (4**n,), message)
     elif "rho" in doc:
-        r = pauli_components(_parse_matrix(doc["rho"], 2**n))
+        r = pauli_components(_parse_matrix(doc["rho"], 2**n), tol)
     else:
         raise ValueError('state document needs "components" or "rho"')
-    check_state_components(r, tol)
-    return n, r
+    return n, r, check_state_components(r, tol)
 
 
 def _finite_array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
@@ -266,7 +267,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_evolve(args) -> int:
     proc = process_from_json_dict(_read_json(args.process))
-    n, r0 = _load_state(_read_json(args.state), args.tol)
+    n, r0, _ = _load_state(_read_json(args.state), args.tol)
     if n != proc.n:
         raise DimensionMismatchError(
             f"state has n={n} but process has n={proc.n}"
@@ -290,12 +291,14 @@ def cmd_evolve(args) -> int:
 
 def cmd_collide(args) -> int:
     schedule = schedule_from_json_dict(_read_json(args.schedule))
-    n, r0 = _load_state(_read_json(args.state), args.tol)
+    n, _, rho0 = _load_state(_read_json(args.state), args.tol)
     if n != schedule.n:
         raise DimensionMismatchError(
             f"state has n={n} but schedule has n={schedule.n}"
         )
-    rho = collide(schedule, from_pauli_components(r0))
+    if rho0 is None:  # the state check builds the dense matrix whenever it can
+        check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
+    rho = collide(schedule, rho0)
     if args.format == "json":
         _emit_json({"n": n, "rho": _dump_matrix(rho)})
     else:
@@ -310,6 +313,9 @@ def cmd_verify(args) -> int:
         raise ValueError("choose either --exhaustive or --samples")
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    # Refused before any draw: a larger count would only exhaust memory.
+    if args.samples is not None and args.samples > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"--samples must be at most {DEFAULT_ENUMERATION_LIMIT}")
     exhaustive = args.exhaustive or (args.samples is None and args.n <= 2)
     if exhaustive:
         if args.n > 2:

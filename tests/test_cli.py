@@ -366,12 +366,56 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
         ({"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
         (good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
         (good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
+        # A valid state beyond the dense limit has no matrix to collide.
+        (
+            {"n": 6, "labels": ["111111"]},
+            {"n": 6, "components": [1] + [0] * 4095},
+            "a dense matrix needs 1 <= n <= 5, got n=6",
+        ),
     ):
         sched = write_json(tmp_path, "sched.json", sched_doc)
         state = write_json(tmp_path, "state.json", state_doc)
         code, out, err = run_cli(["collide", sched, state], capsys)
         assert (code, out) == (2, ""), (sched_doc, state_doc)
         assert message in err
+
+
+def test_collide_builds_the_state_matrix_once(tmp_path, capsys, monkeypatch):
+    import pcekit.cli
+    import pcekit.dense
+
+    builds = []
+    original = pcekit.dense.from_pauli_components
+
+    def counting(r):
+        builds.append(len(r))
+        return original(r)
+
+    for module in (pcekit.cli, pcekit.dense):
+        monkeypatch.setattr(module, "from_pauli_components", counting, raising=False)
+    sched = write_json(tmp_path, "sched.json", {"n": 2, "labels": ["31", "02"]})
+    state = write_json(
+        tmp_path, "state.json", {"n": 2, "components": [1.0] + [0.1] * 15}
+    )
+    code, out, _ = run_cli(["collide", sched, state], capsys)
+    assert code == 0 and out.startswith("n: 2\n")
+    assert builds == [16]
+
+
+def test_tol_reaches_the_hermiticity_check_of_rho_states(tmp_path, capsys):
+    # Off-diagonal entries differ by 1e-6i: Hermitian within 1e-3, not 1e-9.
+    rho = [[[0.5, 0], [0.1, 1e-6]], [[0.1, 0], [0.5, 0]]]
+    state = write_json(tmp_path, "state.json", {"n": 1, "rho": rho})
+    proc = write_json(
+        tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
+    )
+    sched = write_json(tmp_path, "sched.json", {"n": 1, "labels": ["3"]})
+    for command in (["evolve", proc, state, "1.0"], ["collide", sched, state]):
+        code, out, _ = run_cli(["--tol", "1e-3", *command], capsys)
+        assert code == 0 and out, command
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, ""), command
+        assert "not Hermitian within tolerance" in err
 
 
 def test_evolve_accepts_density_matrix_state(tmp_path, capsys):
@@ -430,10 +474,16 @@ def test_verify_mode_restrictions(capsys):
     assert code == 2
     code, _, err = run_cli(["verify", "2", "--exhaustive", "--samples", "5"], capsys)
     assert code == 2
-    for samples in ("-5", "0"):
+    for samples, message in (
+        ("-5", "--samples must be at least 1"),
+        ("0", "--samples must be at least 1"),
+        # Refused before any draw, so nothing near 7 TiB is allocated.
+        ("1000000000000", "--samples must be at most 10000000"),
+        ("10000001", "--samples must be at most 10000000"),
+    ):
         code, out, err = run_cli(["verify", "3", "--samples", samples], capsys)
         assert (code, out) == (2, "")
-        assert "--samples must be at least 1" in err
+        assert message in err
 
 
 def test_unknown_subcommand_exits_2():
