@@ -96,18 +96,27 @@ class PceMap:
         Each index is a base-4 string of ``n`` digits (qubit 1 first), a
         `MultiIndex`, or a flat int.
         """
-        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bytes
         flat = [
             _preserved_code(idx, n) if isinstance(idx, str)
             else idx.code if isinstance(idx, MultiIndex)
             else int(idx)
             for idx in indices
         ]
-        for f in flat:
-            if not 0 <= f < 4**n:
-                raise ValueError(f"flat index {f} out of range for n={n}")
+        return cls._from_flat(n, flat)
+
+    @classmethod
+    def _from_flat(cls, n: int, flat: list[int]) -> "PceMap":
+        """Build from a list of flat indices, each checked to be in range."""
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bytes
+        try:
+            codes = np.array(flat, dtype=np.int64)
+        except OverflowError:  # beyond int64, hence out of range; compare exactly
+            codes = np.array(flat, dtype=object)
+        outside = (codes < 0) | (codes >= 4**n)
+        if outside.any():
+            raise ValueError(f"flat index {flat[outside.argmax()]} out of range for n={n}")
         bits = np.zeros(4**n, dtype=np.uint8)
-        bits[flat] = 1
+        bits[codes] = 1
         return cls.from_bits(n, bits)
 
     @classmethod
@@ -452,7 +461,7 @@ def load_channel_document(doc: dict) -> PceMap | Subspace:
         entries = doc["preserved"]
         if not isinstance(entries, list):
             raise ValueError('"preserved" must be a list of base-4 strings')
-        return PceMap.from_preserved(n, [_preserved_code(text, n) for text in entries])
+        return PceMap._from_flat(n, [_preserved_code(text, n) for text in entries])
     entries = doc["basis"]
     if not isinstance(entries, list):
         raise ValueError('"basis" must be a list of bit strings')

@@ -368,6 +368,27 @@ def test_document_validation_errors():
             load_channel_document(doc)
 
 
+def test_preserved_entry_refusals_name_the_entry():
+    for entries, message in (
+        ([3], "preserved entry 3 is not 1 base-4 digits"),
+        (["0", True], "preserved entry True is not 1 base-4 digits"),
+        (["0", None], "preserved entry None is not 1 base-4 digits"),
+        (["00", "1"], "preserved entry '1' is not 2 base-4 digits"),
+        (["04"], "not a base-4 digit string: '04'"),
+    ):
+        doc = {"n": len(entries[0]) if isinstance(entries[0], str) else 1}
+        with pytest.raises(ValueError) as exc:
+            load_channel_document({**doc, "preserved": entries})
+        assert str(exc.value) == message
+    # Library input may be flat ints; the first one out of range is named.
+    for flat, bad in (([0, 16, -1], 16), ([-1], -1), ([2**70], 2**70), ([-(2**70)], -(2**70))):
+        with pytest.raises(ValueError) as exc:
+            PceMap.from_preserved(2, flat)
+        assert str(exc.value) == f"flat index {bad} out of range for n=2"
+    assert PceMap.from_preserved(2, []).tau == 0
+    assert PceMap.from_preserved(2, ["00", "33", 3, MultiIndex(2, 4)]).tau == 0b1000000000011001
+
+
 def test_basis_document_uses_low_then_high_bit_halves():
     # Bit string j_1..j_n k_1..k_n: "0110" has j = (0,1), k = (1,0), so the
     # digits are (0 + 2*1, 1 + 2*0) = (2, 1).
