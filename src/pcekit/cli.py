@@ -296,7 +296,7 @@ def cmd_collide(args) -> int:
         raise DimensionMismatchError(
             f"state has n={n} but schedule has n={schedule.n}"
         )
-    if rho0 is None:  # the state check builds the dense matrix whenever it can
+    if rho0 is None:  # past the dense limit the state check builds no matrix
         check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
     rho = collide(schedule, rho0)
     if args.format == "json":

@@ -149,7 +149,9 @@ def apply_generator_kraus(label: MultiIndex, rho: np.ndarray) -> np.ndarray:
     return (rho + sigma @ rho @ sigma) / 2
 
 
-_ONE = np.ones((1, 1, 1), dtype=complex)  # Choi chains start here: it sets zero signs
+# Choi chains start from a 1x1 one: that first product fixes the signs of zero
+# entries, on which the bits of the eigenvalues depend.
+_ONE = np.ones((1, 1, 1), dtype=complex)
 _CHOI_STACK = np.stack([np.kron(s, s.conj()) for s in _PAULI_STACK])
 
 
