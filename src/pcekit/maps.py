@@ -263,7 +263,7 @@ class ChoiSpectrum:
 
 def choi_spectrum(pce: PceMap) -> ChoiSpectrum:
     """Exact Choi eigenvalues of a PCE map, one per flat multi-index."""
-    numerators = sign_transform(pce.tau_vector().astype(np.int64))
+    numerators = sign_transform(pce.tau_vector())
     return ChoiSpectrum(pce.n, numerators)
 
 
@@ -293,7 +293,7 @@ def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
         ValueError: if any recovered entry is outside {0, 1}; the message
             names the first offending flat index and its exact value.
     """
-    scaled = sign_transform(np.asarray(spectrum.numerators, dtype=np.int64))
+    scaled = sign_transform(spectrum.numerators)
     full = 4**spectrum.n
     bad = np.nonzero((scaled != 0) & (scaled != full))[0]
     if bad.size:

@@ -265,24 +265,38 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
     """Multiply by the n-fold Kronecker power of SIGN_TABLE, exactly.
 
     ``vec`` has a last axis of length ``4**n`` indexed by flat multi-index;
-    leading axes are treated as a batch.  The transform is computed in-place
-    style with integer butterflies (n stages of 4-point combines), so it costs
-    O(n 4**n) integer operations and never materializes the 4**n x 4**n
-    matrix.  The transform is its own inverse up to a factor ``4**n``.
+    leading axes are treated as a batch; the result is a new int64 array of
+    the same shape.  It runs n stages of fused in-place butterflies over one
+    working copy: with a = v0+v3, b = v1+v2, c = v0-v3, d = v1-v2, each group
+    of four becomes (a+b, c+d, c-d, a-b), 8 integer adds and two scratch
+    buffers of a quarter of the array.  So it costs O(n 4**n) operations and
+    never materializes the 4**n x 4**n matrix.  Every partial sum is a signed
+    sum of at most ``4**n`` inputs, so the work runs in int32 whenever
+    ``max|vec| * 4**n < 2**31`` (every 0/1 mask up to n = 13) and in int64
+    otherwise.  The transform is its own inverse up to a factor ``4**n``.
     """
-    out = np.array(vec, dtype=np.int64, copy=True)
-    size = out.shape[-1]
-    flat = out.reshape(-1, size)
+    work = np.asarray(vec)
+    size = work.shape[-1]
+    peak = max(int(work.max()), -int(work.min())) if work.size else 0
+    dtype = np.int32 if peak * size < 2**31 else np.int64
+    work = work.astype(dtype)  # a copy: the butterflies write in place
+    flat = work.reshape(-1, size)
+    scratch = np.empty((2, flat.size // 4), dtype)
     stride = 1
     while stride < size:
         v = flat.reshape(-1, 4, stride)
-        t0 = v[:, 0, :] + v[:, 1, :] + v[:, 2, :] + v[:, 3, :]
-        t1 = v[:, 0, :] + v[:, 1, :] - v[:, 2, :] - v[:, 3, :]
-        t2 = v[:, 0, :] - v[:, 1, :] + v[:, 2, :] - v[:, 3, :]
-        t3 = v[:, 0, :] - v[:, 1, :] - v[:, 2, :] + v[:, 3, :]
-        v[:, 0, :], v[:, 1, :], v[:, 2, :], v[:, 3, :] = t0, t1, t2, t3
+        v0, v1, v2, v3 = v[:, 0, :], v[:, 1, :], v[:, 2, :], v[:, 3, :]
+        a, b = scratch[0].reshape(-1, stride), scratch[1].reshape(-1, stride)
+        np.add(v0, v3, out=a)
+        np.add(v1, v2, out=b)
+        np.subtract(v0, v3, out=v3)  # c
+        np.subtract(v1, v2, out=v2)  # d
+        np.add(a, b, out=v0)
+        np.add(v3, v2, out=v1)
+        np.subtract(v3, v2, out=v2)
+        np.subtract(a, b, out=v3)
         stride *= 4
-    return out
+    return work.astype(np.int64, copy=False)
 
 
 def _kron_table(stacks) -> np.ndarray:

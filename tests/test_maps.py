@@ -229,6 +229,18 @@ def test_tau_from_spectrum_round_trip():
             assert tau_from_spectrum(choi_spectrum(m)) == m
 
 
+def test_tau_from_spectrum_round_trip_needs_int64():
+    # At n = 8 the numerators reach 4**8, and 4**8 * 4**8 = 2**32 is past
+    # the int32 range of the inverse transform.
+    rng = np.random.default_rng(29)
+    for density in (0.75, 1.0):
+        bits = (rng.random(4**8) < density).astype(np.uint8)
+        m = PceMap.from_bits(8, bits)
+        spectrum = choi_spectrum(m)
+        assert int(np.abs(spectrum.numerators).max()) * 4**8 >= 2**31
+        assert tau_from_spectrum(spectrum) == m
+
+
 def test_tau_from_spectrum_rejects_non_pce_spectra():
     with pytest.raises(ValueError, match="flat index"):
         tau_from_spectrum(ChoiSpectrum(1, np.array([3, 1, 1, 1])))

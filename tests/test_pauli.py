@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcekit.pauli import (
     MultiIndex,
@@ -155,6 +157,71 @@ def test_sign_transform_batched_rows():
     batch = rng.integers(0, 2, size=(8, 16))
     single = np.stack([sign_transform(row) for row in batch])
     assert np.array_equal(sign_transform(batch), single)
+
+
+def _reference_sign_transform(vec) -> np.ndarray:
+    """The plain int64 butterfly: four 4-term sums per group of four."""
+    out = np.array(vec, dtype=np.int64, copy=True)
+    size = out.shape[-1]
+    flat = out.reshape(-1, size)
+    stride = 1
+    while stride < size:
+        v = flat.reshape(-1, 4, stride)
+        t0 = v[:, 0, :] + v[:, 1, :] + v[:, 2, :] + v[:, 3, :]
+        t1 = v[:, 0, :] + v[:, 1, :] - v[:, 2, :] - v[:, 3, :]
+        t2 = v[:, 0, :] - v[:, 1, :] + v[:, 2, :] - v[:, 3, :]
+        t3 = v[:, 0, :] - v[:, 1, :] - v[:, 2, :] + v[:, 3, :]
+        v[:, 0, :], v[:, 1, :], v[:, 2, :], v[:, 3, :] = t0, t1, t2, t3
+        stride *= 4
+    return out
+
+
+def _int32_limit(n: int) -> int:
+    """Smallest max|v| that `sign_transform` must not run in int32."""
+    return 2**31 // 4**n
+
+
+@st.composite
+def transform_inputs(draw):
+    """Arrays whose max|v| sits just below, at or above the int32 bound, or
+    is 1; 0/1 arrays come in uint8 and bool as well as int64.  Half are
+    ``peak`` times a row of the sign matrix, whose transform reaches
+    ``peak * 4**n`` at one index."""
+    n = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    limit = _int32_limit(n)
+    peak = draw(st.sampled_from([1, limit - 1, limit, limit + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        unit = np.zeros(4**n, dtype=np.int64)
+        unit[rng.integers(4**n)] = draw(st.sampled_from([peak, -peak]))
+        return np.broadcast_to(_reference_sign_transform(unit), (*batch, 4**n))
+    low = 0 if peak == 1 and draw(st.booleans()) else -peak
+    vec = rng.integers(low, peak + 1, size=(*batch, 4**n))
+    vec.flat[rng.integers(vec.size)] = draw(st.sampled_from([peak, -peak])) if low else peak
+    if low == 0:
+        vec = vec.astype(draw(st.sampled_from([np.int64, np.uint8, bool])))
+    return vec
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(transform_inputs())
+def test_sign_transform_equals_the_int64_reference(vec):
+    out = sign_transform(vec)
+    assert out.dtype == np.int64 and out.shape == vec.shape
+    assert out.tobytes() == _reference_sign_transform(vec).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_sign_transform_at_the_int32_bound(n):
+    # A constant vector sums to 4**n times its value at flat index 0: at the
+    # limit that is exactly 2**31, one past the int32 range.
+    limit = _int32_limit(n)
+    for value in (limit - 1, limit, -limit, -(limit + 1)):
+        out = sign_transform(np.full(4**n, value))
+        assert out.dtype == np.int64
+        assert int(out[0]) == value * 4**n and not out[1:].any()
+    assert int(sign_transform(np.full((2, 4**n), limit))[1, 0]) == 2**31
 
 
 def test_pauli_string_dense_hand_values():
