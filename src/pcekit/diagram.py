@@ -16,6 +16,8 @@ and `parse_ascii` inverts `render_ascii` exactly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .maps import PceMap, Subspace, subspace_to_map
 from .pauli import DIAGRAM_QUBIT_LIMIT, check_qubits
 
@@ -54,9 +56,9 @@ def _renderable(obj: PceMap | Subspace) -> PceMap:
 def render_ascii(pce: PceMap | Subspace) -> str:
     """Ascii grid, one text line per qubit-1 digit; ends with a newline."""
     pce = _renderable(pce)
-    tau = pce.tau
+    bits = pce.tau_vector()
     lines = [
-        " ".join("".join("#" if tau >> f & 1 else "." for f in group) for group in row)
+        " ".join("".join("#" if bits[f] else "." for f in group) for group in row)
         for row in _LAYOUT[pce.n]
     ]
     return "\n".join(lines) + "\n"
@@ -78,23 +80,23 @@ def parse_ascii(text: str) -> PceMap:
     )
     if n is None:
         raise ValueError(f"unrecognized diagram line widths {sorted(widths)}")
-    tau = 0
+    bits = np.zeros(4**n, dtype=np.uint8)
     for line, row in zip(lines, _LAYOUT[n]):
         texts = line.split(" ") if len(row) > 1 else [line]
         if list(map(len, texts)) != list(map(len, row)):
             raise ValueError(f"bad nested row {line!r}")
         for group, chars in zip(row, texts):
             for flat, char in zip(group, chars):
-                if char == "#":
-                    tau |= 1 << flat
-                elif char != ".":
+                if char not in "#.":
                     raise ValueError(f"unexpected diagram character {char!r}")
-    return PceMap(n, tau)
+                bits[flat] = char == "#"
+    return PceMap.from_bits(n, bits)
 
 
 def render_svg(pce: PceMap | Subspace) -> str:
     """Black/white square grid as a deterministic SVG document."""
     pce = _renderable(pce)
+    bits = pce.tau_vector()
     rows = _LAYOUT[pce.n]
     size, groups = len(rows[0][0]), len(rows[0])
     stride = size * _CELL + _GAP
@@ -110,7 +112,7 @@ def render_svg(pce: PceMap | Subspace) -> str:
         for g, group in enumerate(row):
             for i, flat in enumerate(group):
                 x = _MARGIN + g * stride + i * _CELL
-                fill = "#000000" if (pce.tau >> flat) & 1 else "#ffffff"
+                fill = "#000000" if bits[flat] else "#ffffff"
                 parts.append(
                     f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                     f'fill="{fill}" stroke="#000000" stroke-width="1"/>'

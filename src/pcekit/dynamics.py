@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import partial_trace
+from .dense import from_pauli_components, partial_trace, pauli_components
 from .errors import DimensionMismatchError
 from .generators import recompose
 from .maps import PceMap
@@ -155,8 +155,6 @@ def evolve_components(
 
 def evolve(proc: DissipativeProcess, rho0: np.ndarray, t: float) -> np.ndarray:
     """Exact evolution of a density matrix (components route, then rebuild)."""
-    from .dense import from_pauli_components, pauli_components
-
     return from_pauli_components(evolve_components(proc, pauli_components(rho0), t))
 
 

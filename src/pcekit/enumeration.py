@@ -130,14 +130,6 @@ class ChannelCensus:
             "symmetric": self.is_symmetric,
         }
 
-    def to_text_table(self) -> str:
-        width = max(len(str(c)) for c in self.per_K + (self.total,))
-        lines = ["K  count".ljust(3 + width)]
-        lines += [f"{K:<2} {c:>{width}}" for K, c in enumerate(self.per_K)]
-        lines.append(f"total {self.total}")
-        lines.append(f"symmetric: {'yes' if self.is_symmetric else 'no'}")
-        return "\n".join(lines)
-
 
 def census(n: int) -> ChannelCensus:
     """Counts for every K from 0 to 2n, by formula."""

@@ -20,6 +20,9 @@ __all__ = [
     "intersect",
 ]
 
+# Largest span `span` will list.
+_SPAN_LIMIT = 1 << 20
+
 
 def reduce_vector(v: int, basis: list[int]) -> int:
     """Reduce ``v`` against an RREF basis; returns the canonical remainder.
@@ -50,10 +53,10 @@ def in_span(v: int, basis: list[int]) -> bool:
     return reduce_vector(v, basis) == 0
 
 
-def span(basis: list[int], limit: int = 1 << 20) -> list[int]:
+def span(basis: list[int]) -> list[int]:
     """All ``2**len(basis)`` vectors of the span, sorted ascending."""
-    if 1 << len(basis) > limit:
-        raise CapacityError(f"span has 2**{len(basis)} elements; limit {limit}")
+    if 1 << len(basis) > _SPAN_LIMIT:
+        raise CapacityError(f"span has 2**{len(basis)} elements; limit {_SPAN_LIMIT}")
     out = [0]
     for b in basis:
         out.extend([x ^ b for x in out])

@@ -105,11 +105,11 @@ class PceMap:
         return cls._from_flat(n, flat)
 
     @classmethod
-    def _from_flat(cls, n: int, flat: list[int]) -> "PceMap":
-        """Build from a list of flat indices, each checked to be in range."""
+    def _from_flat(cls, n: int, flat) -> "PceMap":
+        """Build from a list or array of flat indices, each checked to be in range."""
         check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bytes
         try:
-            codes = np.array(flat, dtype=np.int64)
+            codes = np.asarray(flat, dtype=np.int64)
         except OverflowError:  # beyond int64, hence out of range; compare exactly
             codes = np.array(flat, dtype=object)
         outside = (codes < 0) | (codes >= 4**n)
@@ -139,16 +139,7 @@ class PceMap:
 
     def preserved_indices(self) -> list[int]:
         """Sorted flat indices of preserved components."""
-        # One string of binary digits, searched leftwards from bit 0 at its
-        # right end: each index costs one C-level search, not a copy of tau.
-        digits = bin(self.tau)
-        last = len(digits) - 1
-        out = []
-        pos = digits.rfind("1")
-        while pos >= 0:
-            out.append(last - pos)
-            pos = digits.rfind("1", 0, pos)
-        return out
+        return np.flatnonzero(self.tau_vector().view(bool)).tolist()
 
     def preserved(self) -> list[MultiIndex]:
         return [MultiIndex(self.n, f) for f in self.preserved_indices()]
@@ -312,19 +303,20 @@ def _closed_basis(pce: PceMap) -> list[int] | None:
     coordinates in ascending order too, so the member at position ``2**i`` is
     the basis row with the i-th lowest pivot.  The set is therefore closed
     iff it has ``2**K`` members and the span of those K rows is the set.
-    One scan of tau, no elimination.
+    One decode of tau, no elimination.
 
     Raises:
         TracePreservationError: if the normalization component is erased.
     """
     if not pce.is_trace_preserving:
         raise TracePreservationError("tau at the zero index is 0")
-    indices = pce.preserved_indices()
-    K = len(indices).bit_length() - 1
-    if 1 << K != len(indices):
+    count = pce.preserved_count
+    K = count.bit_length() - 1
+    if 1 << K != count:
         return None
-    rows = [indices[1 << i] for i in range(K)]
-    if gf2.span(rows, limit=len(indices)) != indices:
+    indices = np.flatnonzero(pce.tau_vector().view(bool))
+    rows = [int(indices[1 << i]) for i in range(K)]
+    if PceMap._from_flat(pce.n, _span(rows)) != pce:
         return None
     return rows[::-1]
 
@@ -346,16 +338,15 @@ def closure_witness(
     Pairs are scanned in ascending flat-index order, so the witness is
     deterministic.
     """
+    if pce.is_trace_preserving and _closed_basis(pce) is not None:
+        return None
     indices = pce.preserved_indices()
-    present = set(indices)
+    later, present = np.array(indices), pce.tau_vector()
     for i, a in enumerate(indices):
-        for b in indices[i + 1 :]:
-            if a ^ b not in present:
-                return (
-                    MultiIndex(pce.n, a),
-                    MultiIndex(pce.n, b),
-                    MultiIndex(pce.n, a ^ b),
-                )
+        erased = np.flatnonzero(present[later[i + 1 :] ^ a] == 0)
+        if erased.size:
+            b = indices[i + 1 + int(erased[0])]
+            return MultiIndex(pce.n, a), MultiIndex(pce.n, b), MultiIndex(pce.n, a ^ b)
     return None
 
 
@@ -380,12 +371,15 @@ def closure(n: int, seeds) -> Subspace:
 def subspace_to_map(subspace: Subspace) -> PceMap:
     """Materialize the bitmask of a subspace channel (``n <= TAU_QUBIT_LIMIT``)."""
     check_qubits(subspace.n, TAU_QUBIT_LIMIT, "the bitmask form")
-    members = np.zeros(1, dtype=np.int64)
-    for b in subspace.basis:
-        members = np.concatenate([members, members ^ np.int64(b)])
-    bits = np.zeros(4**subspace.n, dtype=np.uint8)
-    bits[members] = 1
-    return PceMap.from_bits(subspace.n, bits)
+    return PceMap._from_flat(subspace.n, _span(subspace.basis))
+
+
+def _span(basis) -> np.ndarray:
+    """All ``2**len(basis)`` XOR combinations of the basis rows, unsorted."""
+    members = np.zeros(1 << len(basis), dtype=np.int64)
+    for i, b in enumerate(basis):
+        np.bitwise_xor(members[: 1 << i], b, out=members[1 << i : 2 << i])
+    return members
 
 
 def map_to_subspace(pce: PceMap) -> Subspace:
@@ -429,7 +423,7 @@ def reflect(pce: PceMap, k: int) -> PceMap:
     if not 1 <= k <= pce.n:
         raise ValueError(f"qubit index {k} out of range 1..{pce.n}")
     flip = 3 << (2 * (k - 1))
-    return PceMap.from_preserved(pce.n, [f ^ flip for f in pce.preserved_indices()])
+    return PceMap._from_flat(pce.n, np.flatnonzero(pce.tau_vector().view(bool)) ^ flip)
 
 
 # ---------------------------------------------------------------------------

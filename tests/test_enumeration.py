@@ -133,6 +133,3 @@ def test_census_table_shapes():
     assert doc["n"] == 2
     assert doc["total"] == 67
     assert doc["per_K"] == {str(K): c for K, c in enumerate(EXPECTED[2])}
-    text = table.to_text_table()
-    assert "total" in text and "67" in text
-    assert text.splitlines()[0].startswith("K")

@@ -40,7 +40,7 @@ def test_rank_and_span():
 
 def test_span_capacity_limit():
     with pytest.raises(Exception):
-        gf2.span(list(1 << i for i in range(25)), limit=1 << 20)
+        gf2.span(list(1 << i for i in range(25)))
 
 
 def test_in_span():

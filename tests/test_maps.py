@@ -123,27 +123,27 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch):
     sub = Subspace.from_vectors(9, [int(v) for v in rng.integers(1, 4**9, size=12)])
     assert sub.dim == 12
     channel = subspace_to_map(sub)
-    counts = {"scans": 0, "rref_vectors": 0}
-    scan, rref = PceMap.preserved_indices, gf2.rref
+    counts = {"decodes": 0, "rref_vectors": 0}
+    decode, rref = PceMap.tau_vector, gf2.rref
 
-    def counting_scan(self):
-        counts["scans"] += 1
-        return scan(self)
+    def counting_decode(self):
+        counts["decodes"] += 1
+        return decode(self)
 
     def counting_rref(vectors):
         vectors = list(vectors)
         counts["rref_vectors"] += len(vectors)
         return rref(vectors)
 
-    monkeypatch.setattr(PceMap, "preserved_indices", counting_scan)
+    monkeypatch.setattr(PceMap, "tau_vector", counting_decode)
     monkeypatch.setattr(gf2, "rref", counting_rref)
     for call, expected in (
         (map_to_subspace, sub),
         (dump_channel_document, dump_channel_document(sub)),
     ):
-        counts.update(scans=0, rref_vectors=0)
+        counts.update(decodes=0, rref_vectors=0)
         assert call(channel) == expected
-        assert counts["scans"] == 1, call
+        assert counts["decodes"] == 1, call
         assert counts["rref_vectors"] <= 2 * sub.dim, call
 
 

@@ -1,6 +1,7 @@
 """Property tests: the bitmask conversion, index scan, reflection, closed-form
 recompose and closed-form Choi spectrum against independent per-index, fold and
-sign-transform references; the closure decision against full elimination;
+sign-transform references; the closure decision against full elimination and
+the closure witness against a pair scan;
 the enumeration's unchecked subspaces against the validating constructor;
 document round trips; and the algebra of `compose`."""
 
@@ -18,6 +19,7 @@ from pcekit.maps import (
     Subspace,
     channel_spectrum,
     choi_spectrum,
+    closure_witness,
     compose,
     dump_channel_document,
     is_closed_subspace,
@@ -124,6 +126,25 @@ def test_closure_decision_equals_full_elimination(m):
     assert is_closed_subspace(m) == closed
     if closed:
         assert map_to_subspace(m).basis == tuple(reference)
+
+
+def reference_witness(m):
+    """First preserved pair, in ascending flat order, whose sum is erased."""
+    indices = [f for f in range(4**m.n) if m.tau >> f & 1]
+    present = set(indices)
+    for i, a in enumerate(indices):
+        for b in indices[i + 1 :]:
+            if a ^ b not in present:
+                return MultiIndex(m.n, a), MultiIndex(m.n, b), MultiIndex(m.n, a ^ b)
+    return None
+
+
+@PROPERTY
+@given(closure_candidates())
+def test_closure_witness_equals_pair_scan(m):
+    reference = reference_witness(m)
+    assert (reference is None) == is_closed_subspace(m)
+    assert closure_witness(m) == reference
 
 
 def assert_canonical(s):
