@@ -279,7 +279,7 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
     size = work.shape[-1]
     peak = max(int(work.max()), -int(work.min())) if work.size else 0
     dtype = np.int32 if peak * size < 2**31 else np.int64
-    work = work.astype(dtype)  # a copy: the butterflies write in place
+    work = work.astype(dtype, order="C")  # a C-ordered copy: written in place
     flat = work.reshape(-1, size)
     scratch = np.empty((2, flat.size // 4), dtype)
     stride = 1

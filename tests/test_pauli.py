@@ -159,9 +159,26 @@ def test_sign_transform_batched_rows():
     assert np.array_equal(sign_transform(batch), single)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sign_transform_of_non_contiguous_batches(n):
+    # Fortran-ordered, transposed and broadcast batches must give the same
+    # rows as the explicit product, not the input copied through.
+    rng = np.random.default_rng(23 + n)
+    transposed = rng.integers(0, 2, size=(4**n, 5)).T
+    batch = np.ascontiguousarray(transposed)
+    expected = batch @ _sign_matrix(n)
+    fortran = np.asfortranarray(batch)
+    for vec in (transposed, fortran, fortran.astype(np.uint8)):
+        assert np.array_equal(sign_transform(vec), expected)
+    row = np.broadcast_to(batch[0], (3, 4**n))
+    assert np.array_equal(sign_transform(row), np.broadcast_to(expected[0], (3, 4**n)))
+    stacked = np.broadcast_to(batch, (2, 5, 4**n))
+    assert np.array_equal(sign_transform(stacked), np.broadcast_to(expected, (2, 5, 4**n)))
+
+
 def _reference_sign_transform(vec) -> np.ndarray:
     """The plain int64 butterfly: four 4-term sums per group of four."""
-    out = np.array(vec, dtype=np.int64, copy=True)
+    out = np.array(vec, dtype=np.int64, order="C", copy=True)
     size = out.shape[-1]
     flat = out.reshape(-1, size)
     stride = 1
