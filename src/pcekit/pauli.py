@@ -261,42 +261,71 @@ def commutes(a: MultiIndex, b: MultiIndex) -> bool:
     return symplectic_product(a, b) == 0
 
 
+# One stage of `sign_transform` on two qubits at once.
+_SIGN_TABLE_2 = np.kron(SIGN_TABLE, SIGN_TABLE)
+# Elements per matmul in `sign_transform`: the size of its one scratch buffer.
+_SLAB = 1 << 16
+
+
 def sign_transform(vec: np.ndarray) -> np.ndarray:
     """Multiply by the n-fold Kronecker power of SIGN_TABLE, exactly.
 
     ``vec`` has a last axis of length ``4**n`` indexed by flat multi-index;
     leading axes are treated as a batch; the result is a new int64 array of
-    the same shape.  It runs n stages of fused in-place butterflies over one
-    working copy: with a = v0+v3, b = v1+v2, c = v0-v3, d = v1-v2, each group
-    of four becomes (a+b, c+d, c-d, a-b), 8 integer adds and two scratch
-    buffers of a quarter of the array.  So it costs O(n 4**n) operations and
-    never materializes the 4**n x 4**n matrix.  Every partial sum is a signed
-    sum of at most ``4**n`` inputs, so the work runs in int32 whenever
-    ``max|vec| * 4**n < 2**31`` (every 0/1 mask up to n = 13) and in int64
-    otherwise.  The transform is its own inverse up to a factor ``4**n``.
+    the same shape.  Each stage applies the 16 x 16 block ``SIGN_TABLE (x)
+    SIGN_TABLE`` to two qubits at once (``SIGN_TABLE`` alone to an odd last
+    qubit) as one matmul over a ``(rows, 16, stride)`` view of a C-ordered
+    working copy, so it costs O(n 4**n) operations and never materializes
+    the 4**n x 4**n matrix.  The matmuls run a slab of about ``_SLAB``
+    elements at a time through one scratch buffer, and a float64 result
+    becomes int64 in place, a slab at a time.
+
+    Every partial sum is an integer of size at most ``max|vec| * 4**n``, so
+    the working copy is float32 while that bound is <= 2**24 (every 0/1 mask
+    up to n = 12), float64 while it is <= 2**53, and int64 beyond (with
+    numpy's integer wraparound).  In the float cases every partial sum is
+    exactly representable, so the result is exact in any summation order.
+    The transform is its own inverse up to a factor ``4**n``.
     """
     work = np.asarray(vec)
     size = work.shape[-1]
     peak = max(int(work.max()), -int(work.min())) if work.size else 0
-    dtype = np.int32 if peak * size < 2**31 else np.int64
+    bound = peak * size
+    dtype = np.float32 if bound <= 2**24 else np.float64 if bound <= 2**53 else np.int64
     work = work.astype(dtype, order="C")  # a C-ordered copy: written in place
-    flat = work.reshape(-1, size)
-    scratch = np.empty((2, flat.size // 4), dtype)
+    flat = work.reshape(-1)
+    scratch = np.empty(min(_SLAB, flat.size), dtype)
     stride = 1
     while stride < size:
-        v = flat.reshape(-1, 4, stride)
-        v0, v1, v2, v3 = v[:, 0, :], v[:, 1, :], v[:, 2, :], v[:, 3, :]
-        a, b = scratch[0].reshape(-1, stride), scratch[1].reshape(-1, stride)
-        np.add(v0, v3, out=a)
-        np.add(v1, v2, out=b)
-        np.subtract(v0, v3, out=v3)  # c
-        np.subtract(v1, v2, out=v2)  # d
-        np.add(a, b, out=v0)
-        np.add(v3, v2, out=v1)
-        np.subtract(v3, v2, out=v2)
-        np.subtract(a, b, out=v3)
-        stride *= 4
-    return work.astype(np.int64, copy=False)
+        table = _SIGN_TABLE_2 if 16 * stride <= size else SIGN_TABLE
+        _sign_stage(flat, table.astype(dtype), stride, scratch)
+        stride *= len(table)
+    if dtype is np.float32:
+        return work.astype(np.int64)
+    if dtype is np.float64:
+        ints = flat.view(np.int64)
+        for start in range(0, flat.size, _SLAB):
+            ints[start : start + _SLAB] = flat[start : start + _SLAB]
+        return ints.reshape(work.shape)
+    return work
+
+
+def _sign_stage(flat: np.ndarray, table: np.ndarray, stride: int, scratch) -> None:
+    """Apply ``table`` in place to the digit(s) at ``stride`` of every row of
+    ``flat``, viewed as ``(groups, len(table), stride)``, slab by slab."""
+    block = len(table)
+    view = flat.reshape(-1, block, stride)
+    cols = min(stride, _SLAB // block)
+    groups = max(1, _SLAB // (block * stride))
+    for g in range(0, len(view), groups):
+        for c in range(0, stride, cols):
+            part = view[g : g + groups, :, c : c + cols]
+            out = scratch[: part.size].reshape(part.shape)
+            if stride == 1:
+                np.matmul(part[..., 0], table, out=out[..., 0])
+            else:
+                np.matmul(table, part, out=out)
+            part[...] = out
 
 
 def _kron_table(stacks) -> np.ndarray:

@@ -193,20 +193,25 @@ def _reference_sign_transform(vec) -> np.ndarray:
     return out
 
 
-def _int32_limit(n: int) -> int:
-    """Smallest max|v| that `sign_transform` must not run in int32."""
-    return 2**31 // 4**n
+# Exactness bounds on max|v| * 4**n: float32, int32 (the earlier working
+# dtype, kept for its exact values) and float64.
+_BOUNDS = (2**24, 2**31, 2**53)
+
+
+def _limit(n: int, bound: int) -> int:
+    """The max|v| at which a transform first reaches ``bound``."""
+    return bound // 4**n
 
 
 @st.composite
 def transform_inputs(draw):
-    """Arrays whose max|v| sits just below, at or above the int32 bound, or
+    """Arrays whose max|v| sits just below, at or above one of `_BOUNDS`, or
     is 1; 0/1 arrays come in uint8 and bool as well as int64.  Half are
     ``peak`` times a row of the sign matrix, whose transform reaches
     ``peak * 4**n`` at one index."""
     n = draw(st.integers(1, 6))
     batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
-    limit = _int32_limit(n)
+    limit = _limit(n, draw(st.sampled_from(_BOUNDS)))
     peak = draw(st.sampled_from([1, limit - 1, limit, limit + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -233,12 +238,39 @@ def test_sign_transform_equals_the_int64_reference(vec):
 def test_sign_transform_at_the_int32_bound(n):
     # A constant vector sums to 4**n times its value at flat index 0: at the
     # limit that is exactly 2**31, one past the int32 range.
-    limit = _int32_limit(n)
+    limit = _limit(n, 2**31)
     for value in (limit - 1, limit, -limit, -(limit + 1)):
         out = sign_transform(np.full(4**n, value))
         assert out.dtype == np.int64
         assert int(out[0]) == value * 4**n and not out[1:].any()
     assert int(sign_transform(np.full((2, 4**n), limit))[1, 0]) == 2**31
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+@pytest.mark.parametrize("bound", [2**24, 2**53])
+def test_sign_transform_at_the_float_bounds(n, bound):
+    # All entries but the last at the value, the last one nearer zero: the sum
+    # at flat index 0 is odd, so a float working copy past its exact integer
+    # range rounds it.  Just above the limit that sum exceeds the bound.
+    limit = _limit(n, bound)
+    for value in (limit - 1, limit, limit + 1, -limit, -(limit + 1)):
+        vec = np.full(4**n, value)
+        vec[-1] -= np.sign(value)
+        out = sign_transform(vec)
+        assert out.dtype == np.int64
+        assert int(out[0]) == value * 4**n - np.sign(value)
+        assert out.tobytes() == _reference_sign_transform(vec).tobytes()
+
+
+def test_sign_transform_beyond_the_float64_bound():
+    # |v| = 2**55 at n = 1 puts the sum at index 0 at 2**56 - 1: past the
+    # float64 bound, so only the int64 path is exact.
+    vec = np.array([2**55, 2**55, -(2**55), 2**55 - 1])
+    expected = _sign_matrix(1) @ vec
+    assert int(expected[0]) == 2**56 - 1
+    assert np.array_equal(sign_transform(vec), expected)
+    batch = np.stack([vec, -vec])
+    assert np.array_equal(sign_transform(batch), batch @ _sign_matrix(1))
 
 
 def test_pauli_string_dense_hand_values():
