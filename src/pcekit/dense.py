@@ -180,17 +180,25 @@ def choi_dense(pce: PceMap) -> np.ndarray:
 def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
     """Smallest dense Choi eigenvalue of each tau bitmask in a batch.
 
-    The batched form of ``eigvalsh(choi_dense(PceMap(n, m))).min()``: Choi
-    matrices are built and diagonalized a chunk at a time to bound memory.
+    The batched form of ``eigvalsh(choi_dense(PceMap(n, m))).min()``: the
+    masks' bits come from one unpack of their little-endian 64-bit words
+    (``4**n <= 64``), and Choi matrices are built and diagonalized a chunk at
+    a time to bound memory.
+
+    Raises:
+        ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
     """
     terms = choi_basis_terms(n).reshape(4**n, -1)
+    if len(masks) and not (int(min(masks)) >= 0 and int(max(masks)) >> 4**n == 0):
+        raise ValueError(f"tau bitmask out of range for n={n}")
+    words = np.array(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, bitorder="little")[:, : 4**n]
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
-        batch = masks[start : start + chunk]
-        tau = np.stack([PceMap(n, m).tau_vector() for m in batch]).astype(float)
-        choi = (tau @ terms).reshape(len(batch), 4**n, 4**n) / 2**n
-        out[start : start + len(batch)] = np.linalg.eigvalsh(choi)[:, 0]
+        tau = bits[start : start + chunk].astype(float)
+        choi = (tau @ terms).reshape(len(tau), 4**n, 4**n) / 2**n
+        out[start : start + len(tau)] = np.linalg.eigvalsh(choi)[:, 0]
     return out
 
 

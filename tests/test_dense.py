@@ -10,6 +10,7 @@ from pcekit.dense import (
     apply_pce,
     choi_basis_terms,
     choi_dense,
+    choi_min_eigenvalues,
     choi_pauli_vector,
     common_eigenbasis,
     from_pauli_components,
@@ -142,6 +143,31 @@ def test_choi_positivity_agrees_with_subspace_criterion_sampled():
         m = PceMap(2, tau)
         dense_cp = bool(np.linalg.eigvalsh(choi_dense(m)).min() >= -1e-9)
         assert dense_cp == is_closed_subspace(m)
+
+
+def _reference_min_eigenvalues(n: int, masks) -> np.ndarray:
+    """One `PceMap` and its `tau_vector` per mask, diagonalized in one batch."""
+    tau = np.stack([PceMap(n, m).tau_vector() for m in masks]).astype(float)
+    choi = tau @ choi_basis_terms(n).reshape(4**n, -1)
+    return np.linalg.eigvalsh(choi.reshape(len(masks), 4**n, 4**n) / 2**n)[:, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_min_eigenvalues_equals_per_mask_unpacking(n):
+    # 203 masks fit in one chunk, so both sides make the same matmul and solve.
+    rng = np.random.default_rng(31 + n)
+    draws = rng.integers(0, 2**64, size=200, dtype=np.uint64)
+    masks = [0, 1, (1 << 4**n) - 1] + [int(m) >> (64 - 4**n) for m in draws]
+    got = choi_min_eigenvalues(n, masks)
+    assert got.tobytes() == _reference_min_eigenvalues(n, masks).tobytes()
+
+
+def test_choi_min_eigenvalues_rejects_masks_out_of_range():
+    for n, mask in ((1, 16), (1, -1), (2, 1 << 16), (3, 1 << 64), (3, -(1 << 64))):
+        with pytest.raises(ValueError, match="out of range"):
+            choi_min_eigenvalues(n, [1, mask])
+    assert choi_min_eigenvalues(3, [(1 << 64) - 1]).shape == (1,)
+    assert choi_min_eigenvalues(2, []).shape == (0,)
 
 
 def test_partial_trace_hand_values():
