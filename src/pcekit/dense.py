@@ -189,7 +189,7 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
         ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
     """
     terms = choi_basis_terms(n).reshape(4**n, -1)
-    if len(masks) and not (int(min(masks)) >= 0 and int(max(masks)) >> 4**n == 0):
+    if len(masks) and not (0 <= min(masks) and max(masks) < 1 << 4**n):
         raise ValueError(f"tau bitmask out of range for n={n}")
     words = np.array(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
     bits = np.unpackbits(words, axis=1, bitorder="little")[:, : 4**n]

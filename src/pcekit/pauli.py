@@ -321,7 +321,7 @@ def _sign_stage(flat: np.ndarray, table: np.ndarray, stride: int, scratch) -> No
         for c in range(0, stride, cols):
             part = view[g : g + groups, :, c : c + cols]
             out = scratch[: part.size].reshape(part.shape)
-            if stride == 1:
+            if stride == 1:  # rows times the symmetric table, one plain matmul
                 np.matmul(part[..., 0], table, out=out[..., 0])
             else:
                 np.matmul(table, part, out=out)

@@ -231,7 +231,8 @@ def test_tau_from_spectrum_round_trip():
 
 def test_tau_from_spectrum_round_trip_needs_int64():
     # At n = 8 the numerators reach 4**8, and 4**8 * 4**8 = 2**32 is past
-    # the int32 range of the inverse transform.
+    # both the int32 range and float32's exact integers (2**24): the inverse
+    # transform needs a 64-bit working copy.
     rng = np.random.default_rng(29)
     for density in (0.75, 1.0):
         bits = (rng.random(4**8) < density).astype(np.uint8)

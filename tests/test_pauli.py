@@ -193,8 +193,8 @@ def _reference_sign_transform(vec) -> np.ndarray:
     return out
 
 
-# Exactness bounds on max|v| * 4**n: float32, int32 (the earlier working
-# dtype, kept for its exact values) and float64.
+# Bounds on max|v| * 4**n: float32's exact integers, the int32 range (whose
+# exact values `test_sign_transform_at_the_int32_bound` pins) and float64's.
 _BOUNDS = (2**24, 2**31, 2**53)
 
 
