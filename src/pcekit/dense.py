@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatchError, InvalidStabilizerSetError
-from .maps import PceMap
+from .maps import PceMap, _tau_bits
 from .pauli import (
     CHOI_QUBIT_LIMIT,
     DENSE_QUBIT_LIMIT,
@@ -181,18 +181,14 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
     """Smallest dense Choi eigenvalue of each tau bitmask in a batch.
 
     The batched form of ``eigvalsh(choi_dense(PceMap(n, m))).min()``: the
-    masks' bits come from one unpack of their little-endian 64-bit words
-    (``4**n <= 64``), and Choi matrices are built and diagonalized a chunk at
-    a time to bound memory.
+    masks' bits are decoded in one batch, and Choi matrices are built and
+    diagonalized a chunk at a time to bound memory.
 
     Raises:
         ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
     """
     terms = choi_basis_terms(n).reshape(4**n, -1)
-    if len(masks) and not (0 <= min(masks) and max(masks) < 1 << 4**n):
-        raise ValueError(f"tau bitmask out of range for n={n}")
-    words = np.array(masks, dtype="<u8").reshape(-1, 1).view(np.uint8)
-    bits = np.unpackbits(words, axis=1, bitorder="little")[:, : 4**n]
+    bits = _tau_bits(n, masks)
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))
     for start in range(0, len(masks), chunk):

@@ -77,8 +77,7 @@ class PceMap:
 
     def __post_init__(self) -> None:
         check_qubits(self.n, TAU_QUBIT_LIMIT, "the bitmask form")
-        if self.tau < 0 or self.tau.bit_length() > 4**self.n:
-            raise ValueError(f"tau bitmask out of range for n={self.n}")
+        _check_tau(self.n, self.tau)
 
     @classmethod
     def identity(cls, n: int) -> "PceMap":
@@ -146,9 +145,29 @@ class PceMap:
 
     def tau_vector(self) -> np.ndarray:
         """The bitmask as a uint8 0/1 array of length ``4**n``."""
-        size = 4**self.n
-        raw = np.frombuffer(self.tau.to_bytes((size + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:size]
+        return _tau_bits(self.n, (self.tau,))[0]
+
+
+def _check_tau(n: int, tau: int) -> None:
+    if tau < 0 or tau >> 4**n:
+        raise ValueError(f"tau bitmask out of range for n={n}")
+
+
+def _tau_bits(n: int, masks) -> np.ndarray:
+    """The bits of each tau bitmask (a Python int) in ``masks``, bit f in
+    column f: a uint8 0/1 array of shape ``(len(masks), 4**n)`` from one
+    unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector` and
+    the dense oracle's batches both decode through it.
+
+    Raises:
+        ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
+    """
+    if len(masks):
+        _check_tau(n, min(masks))
+        _check_tau(n, max(masks))
+    width = (4**n + 7) // 8
+    raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * width)[:, : 4**n]
 
 
 @dataclass(frozen=True)

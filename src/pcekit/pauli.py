@@ -272,42 +272,49 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
 
     ``vec`` has a last axis of length ``4**n`` indexed by flat multi-index;
     leading axes are treated as a batch; the result is a new int64 array of
-    the same shape.  Each stage applies the 16 x 16 block ``SIGN_TABLE (x)
-    SIGN_TABLE`` to two qubits at once (``SIGN_TABLE`` alone to an odd last
-    qubit) as one matmul over a ``(rows, 16, stride)`` view of a C-ordered
-    working copy, so it costs O(n 4**n) operations and never materializes
-    the 4**n x 4**n matrix.  The matmuls run a slab of about ``_SLAB``
-    elements at a time through one scratch buffer, and a float64 result
-    becomes int64 in place, a slab at a time.
+    the same shape.  Non-integer input is truncated to int64 first.  Each
+    stage applies the 16 x 16 block ``SIGN_TABLE (x) SIGN_TABLE`` to two
+    qubits at once (``SIGN_TABLE`` alone to an odd last qubit) as one matmul
+    over a ``(rows, 16, stride)`` view of a C-ordered working copy, so it
+    costs O(n 4**n) operations and never materializes the 4**n x 4**n
+    matrix.  The matmuls run a slab of about ``_SLAB`` elements at a time
+    through one scratch buffer.  The working copy lives in the result's
+    memory and becomes int64 there in place, a slab at a time.
 
     Every partial sum is an integer of size at most ``max|vec| * 4**n``, so
     the working copy is float32 while that bound is <= 2**24 (every 0/1 mask
-    up to n = 12), float64 while it is <= 2**53, and int64 beyond (with
-    numpy's integer wraparound).  In the float cases every partial sum is
-    exactly representable, so the result is exact in any summation order.
-    The transform is its own inverse up to a factor ``4**n``.
+    up to n = 12), float64 while it is <= 2**53 (every 0/1 mask and every
+    `tau_from_spectrum` input up to n = 13) and int64 beyond (with numpy's
+    integer wraparound).  In the float cases every partial sum is exactly
+    representable, so the result is exact in any summation order.  The
+    transform is its own inverse up to a factor ``4**n``.
     """
     work = np.asarray(vec)
+    if work.dtype.kind not in "biu":
+        work = work.astype(np.int64)
     size = work.shape[-1]
     peak = max(int(work.max()), -int(work.min())) if work.size else 0
     bound = peak * size
     dtype = np.float32 if bound <= 2**24 else np.float64 if bound <= 2**53 else np.int64
-    work = work.astype(dtype, order="C")  # a C-ordered copy: written in place
-    flat = work.reshape(-1)
+    out = np.empty(work.shape, np.int64)
+    flat = out.reshape(-1).view(dtype)[: out.size]  # the working copy, in out's memory
+    flat.reshape(work.shape)[...] = work
     scratch = np.empty(min(_SLAB, flat.size), dtype)
     stride = 1
     while stride < size:
         table = _SIGN_TABLE_2 if 16 * stride <= size else SIGN_TABLE
         _sign_stage(flat, table.astype(dtype), stride, scratch)
         stride *= len(table)
-    if dtype is np.float32:
-        return work.astype(np.int64)
-    if dtype is np.float64:
-        ints = flat.view(np.int64)
-        for start in range(0, flat.size, _SLAB):
-            ints[start : start + _SLAB] = flat[start : start + _SLAB]
-        return ints.reshape(work.shape)
-    return work
+    if dtype is not np.int64:
+        # To int64 in place, last slab first and through the scratch buffer: a
+        # float32 slab's int64 values take twice its bytes, so they overwrite
+        # only itself and slabs already converted.
+        ints = out.reshape(-1)
+        for start in reversed(range(0, flat.size, _SLAB)):
+            stop = min(start + _SLAB, flat.size)
+            scratch[: stop - start] = flat[start:stop]
+            ints[start:stop] = scratch[: stop - start]
+    return out
 
 
 def _sign_stage(flat: np.ndarray, table: np.ndarray, stride: int, scratch) -> None:

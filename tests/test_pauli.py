@@ -144,6 +144,8 @@ def test_sign_transform_matches_matrix_product(n):
     for _ in range(10):
         v = rng.integers(-3, 4, size=4**n)
         assert np.array_equal(sign_transform(v), A @ v)
+        # Float input is truncated toward zero before the transform.
+        assert np.array_equal(sign_transform(v + 0.5 * np.sign(v)), A @ v)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -260,6 +262,15 @@ def test_sign_transform_at_the_float_bounds(n, bound):
         assert out.dtype == np.int64
         assert int(out[0]) == value * 4**n - np.sign(value)
         assert out.tobytes() == _reference_sign_transform(vec).tobytes()
+
+
+@pytest.mark.parametrize("peak", [1, 2**10, 2**40])
+def test_sign_transform_across_slabs(peak):
+    # Two n = 9 rows are eight slabs of 2**16 elements, in the float32,
+    # float64 and int64 working copy, each converted to int64 slab by slab.
+    rng = np.random.default_rng(peak)
+    vec = rng.integers(0 if peak == 1 else -peak, peak + 1, size=(2, 4**9))
+    assert sign_transform(vec).tobytes() == _reference_sign_transform(vec).tobytes()
 
 
 def test_sign_transform_beyond_the_float64_bound():
