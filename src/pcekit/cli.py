@@ -140,13 +140,14 @@ def cmd_check(args) -> int:
     else:
         pce = obj
         report["is_pce"] = pce.is_trace_preserving
-        closed = pce.is_trace_preserving and is_closed_subspace(pce)
+        witness = closure_witness(pce) if pce.is_trace_preserving else None
+        closed = pce.is_trace_preserving and witness is None
         report["is_channel"] = closed
         if closed:
             report["K"] = pce.preserved_count.bit_length() - 1
         report["popcount"] = pce.preserved_count
-        if pce.is_trace_preserving and not closed:
-            a, b, missing = closure_witness(pce)
+        if witness is not None:
+            a, b, missing = witness
             report["witness"] = {
                 "pair": [a.to_string(), b.to_string()],
                 "missing": missing.to_string(),

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .errors import NotAChannelError, TracePreservationError
+from .errors import DimensionMismatchError, NotAChannelError, TracePreservationError
 from .pauli import (
     TAU_QUBIT_LIMIT,
     MultiIndex,
@@ -96,9 +96,7 @@ class PceMap:
         `MultiIndex`, or a flat int.
         """
         flat = [
-            _preserved_code(idx, n) if isinstance(idx, str)
-            else idx.code if isinstance(idx, MultiIndex)
-            else int(idx)
+            _preserved_code(idx, n) if isinstance(idx, str) else _index_code(idx, n)
             for idx in indices
         ]
         return cls._from_flat(n, flat)
@@ -146,6 +144,19 @@ class PceMap:
     def tau_vector(self) -> np.ndarray:
         """The bitmask as a uint8 0/1 array of length ``4**n``."""
         return _tau_bits(self.n, (self.tau,))[0]
+
+
+def _index_code(idx: MultiIndex | int, n: int) -> int:
+    """Flat code of a `MultiIndex` on ``n`` qubits, or of a plain int.
+
+    Raises:
+        DimensionMismatchError: if a `MultiIndex` has another qubit count.
+    """
+    if not isinstance(idx, MultiIndex):
+        return int(idx)
+    if idx.n != n:
+        raise DimensionMismatchError(f"qubit counts differ: {idx.n} vs {n}")
+    return idx.code
 
 
 def _check_tau(n: int, tau: int) -> None:
@@ -203,7 +214,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "Subspace":
         """Span of arbitrary vectors (MultiIndex or packed int), canonicalized."""
-        codes = [v.code if isinstance(v, MultiIndex) else int(v) for v in vectors]
+        codes = [_index_code(v, n) for v in vectors]
         if any(not 0 <= c < 4**n for c in codes):
             raise ValueError(f"vector out of range for n={n}")
         return cls(n, tuple(gf2.rref(codes)))
@@ -213,8 +224,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, idx: MultiIndex | int) -> bool:
-        code = idx.code if isinstance(idx, MultiIndex) else int(idx)
-        return gf2.in_span(code, list(self.basis))
+        return gf2.in_span(_index_code(idx, self.n), list(self.basis))
 
     def members(self) -> list[int]:
         """All ``2**dim`` member codes, sorted ascending."""
@@ -359,10 +369,24 @@ def closure_witness(
     """
     if pce.is_trace_preserving and _closed_basis(pce) is not None:
         return None
+    return _first_erased_sum(pce)
+
+
+def _first_erased_sum(
+    pce: PceMap,
+) -> tuple[MultiIndex, MultiIndex, MultiIndex] | None:
+    """The pair scan of `closure_witness`, run only on maps not known to be
+    closed: those `_closed_basis` rejected, and those that erase tau_0.
+
+    Decodes tau once: the ascending index list also fills the membership
+    array that each ``a ^ later`` gather reads.
+    """
     indices = pce.preserved_indices()
-    later, present = np.array(indices), pce.tau_vector()
+    later = np.array(indices, dtype=np.int64)
+    present = np.zeros(4**pce.n, dtype=bool)
+    present[later] = True
     for i, a in enumerate(indices):
-        erased = np.flatnonzero(present[later[i + 1 :] ^ a] == 0)
+        erased = np.flatnonzero(~present[later[i + 1 :] ^ a])
         if erased.size:
             b = indices[i + 1 + int(erased[0])]
             return MultiIndex(pce.n, a), MultiIndex(pce.n, b), MultiIndex(pce.n, a ^ b)
@@ -409,7 +433,7 @@ def map_to_subspace(pce: PceMap) -> Subspace:
     """
     rows = _closed_basis(pce)
     if rows is None:
-        witness = closure_witness(pce)
+        witness = _first_erased_sum(pce)
         raise NotAChannelError(
             f"preserved set is not closed: {witness[0]} + {witness[1]} "
             f"gives the erased index {witness[2]}"

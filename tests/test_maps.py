@@ -1,5 +1,6 @@
 """PCE maps: bitmask/basis forms, Choi spectra, closure, documents."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -56,6 +57,8 @@ def test_from_preserved_round_trip():
     for text in ("000", "3", "4a", "-1"):
         with pytest.raises(ValueError):
             PceMap.from_preserved(2, [text])
+    with pytest.raises(DimensionMismatchError):
+        PceMap.from_preserved(2, ["00", MultiIndex(1, 3)])
 
 
 def test_tau_vector_layout():
@@ -116,8 +119,10 @@ def test_map_to_subspace_error_names_witness():
         map_to_subspace(PceMap.from_preserved(2, [0, 1, 8, 10, 11]))
 
 
-def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch):
+def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, tmp_path):
     import pcekit.gf2 as gf2
+    import pcekit.maps as maps
+    from pcekit.cli import main
 
     rng = np.random.default_rng(12)
     sub = Subspace.from_vectors(9, [int(v) for v in rng.integers(1, 4**9, size=12)])
@@ -145,6 +150,39 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch):
         assert call(channel) == expected
         assert counts["decodes"] == 1, call
         assert counts["rref_vectors"] <= 2 * sub.dim, call
+
+    # Through the CLI: one closure decision per command, and the witness scan
+    # decodes once more only when the decision says "not closed".  A popcount
+    # that is not a power of two is decided without a decode; `check` decodes
+    # once more for a non-channel's spectrum.
+    members = sub.members()
+    outsider = min(set(range(4**9)).difference(members))
+    cases = (
+        (members, 0, {"check": 1, "decompose": 1}),
+        (members[:-1] + [outsider], 1, {"check": 3, "decompose": 2}),
+        (members[:-1], 1, {"check": 2, "decompose": 1}),
+    )
+    calls = {"decisions": 0, "tau_bits": 0}
+    closed_basis, tau_bits = maps._closed_basis, maps._tau_bits
+
+    def counting_closed_basis(pce):
+        calls["decisions"] += 1
+        return closed_basis(pce)
+
+    def counting_tau_bits(n, masks):
+        calls["tau_bits"] += 1
+        return tau_bits(n, masks)
+
+    monkeypatch.setattr(maps, "_closed_basis", counting_closed_basis)
+    monkeypatch.setattr(maps, "_tau_bits", counting_tau_bits)
+    for indices, code, decodes in cases:
+        path = tmp_path / "channel.json"
+        preserved = [str(MultiIndex(9, f)) for f in sorted(indices)]
+        path.write_text(json.dumps({"n": 9, "preserved": preserved}))
+        for command in ("check", "decompose"):
+            calls.update(decisions=0, tau_bits=0)
+            assert main([command, str(path)]) == code, command
+            assert calls == {"decisions": 1, "tau_bits": decodes[command]}, (command, len(indices))
 
 
 def test_choi_spectrum_hand_values():
@@ -273,6 +311,11 @@ def test_subspace_canonicalization_and_equality():
     assert a.dim == 2
     assert a.members() == [0, 3, 12, 15]
     assert a.contains(15) and not a.contains(1)
+    assert a.contains(MultiIndex(2, 15)) and not a.contains(MultiIndex(2, 1))
+    with pytest.raises(DimensionMismatchError):
+        Subspace.from_vectors(3, [MultiIndex(2, 5)])
+    with pytest.raises(DimensionMismatchError):
+        Subspace.from_vectors(2, [MultiIndex(2, 1)]).contains(MultiIndex(1, 1))
     for rows in ((0b0011, 0b1111), (1, 3)):
         with pytest.raises(ValueError, match="canonical reduced row echelon"):
             Subspace(2, rows)

@@ -6,6 +6,7 @@ the enumeration's unchecked subspaces against the validating constructor;
 document round trips; and the algebra of `compose`."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from pcekit import gf2
 from pcekit.enumeration import count_channels, enumerate_subspaces
+from pcekit.errors import NotAChannelError
 from pcekit.generators import decompose, generator_map, recompose, recompose_subspace
 from pcekit.maps import (
     PceMap,
@@ -145,6 +147,11 @@ def test_closure_witness_equals_pair_scan(m):
     reference = reference_witness(m)
     assert (reference is None) == is_closed_subspace(m)
     assert closure_witness(m) == reference
+    if reference is not None:
+        a, b, missing = reference
+        message = f"{a} + {b} gives the erased index {missing}"
+        with pytest.raises(NotAChannelError, match=re.escape(message)):
+            map_to_subspace(m)
 
 
 def assert_canonical(s):
