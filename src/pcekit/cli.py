@@ -35,12 +35,11 @@ from .errors import (
 )
 from .generators import decompose, recompose_subspace
 from .maps import (
-    PceMap,
     Subspace,
+    _closed_bases,
     channel_spectrum,
     choi_spectrum,
     closure_witness,
-    is_closed_subspace,
     load_channel_document,
     map_to_subspace,
     subspace_to_map,
@@ -331,9 +330,7 @@ def cmd_verify(args) -> int:
         draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
         masks = [int(d) | 1 for d in draws]
         mode = f"sampled (seed {args.seed})"
-    symbolic = np.array(
-        [is_closed_subspace(PceMap(args.n, m)) for m in masks], dtype=bool
-    )
+    symbolic = np.array([rows is not None for rows in _closed_bases(args.n, masks)])
     oracle = choi_min_eigenvalues(args.n, masks) >= -args.tol
     disagreements = int((symbolic != oracle).sum())
     result = {
@@ -370,6 +367,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcekit",
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default: 0)")
     parser.add_argument(
         "--tol",
         type=_tolerance,

@@ -8,6 +8,12 @@ are the independent cross-check for the symbolic bitmask path: Choi matrices
 are sums of `pauli._kron_table` Kronecker products handed to a Hermitian
 eigensolver, with no reuse of the exact integer transform.
 
+Every Choi term kron(P, P*) keeps the parity of each qubit's system bit and
+copy bit, so a Choi matrix is block-diagonal in the basis ordered by (parity
+bits, system bits): ``2**n`` blocks of size ``2**n``.  `choi_min_eigenvalues`
+builds and solves those blocks only; `choi_basis_terms` and `choi_dense`
+keep the full ``4**n x 4**n`` form as the reference.
+
 Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
 ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
 dimensional).
@@ -177,24 +183,53 @@ def choi_dense(pce: PceMap) -> np.ndarray:
     return (tau @ terms.reshape(dim, dim * dim)).reshape(dim, dim) / 2**pce.n
 
 
+# A qubit's kron(P, P*) factor restricted to one parity p = s ^ c of its system
+# bit s and copy bit c: rows and columns (s, s ^ p) for s = 0, 1, at p + 2 * digit.
+_CHOI_BLOCK_STACK = np.stack(
+    [term[np.ix_(rows, rows)] for term in _CHOI_STACK for rows in ([0, 3], [1, 2])]
+)
+
+
+@functools.lru_cache(maxsize=4)
+def _choi_block_terms(n: int) -> np.ndarray:
+    """The diagonal blocks of `choi_basis_terms`, shape ``(4**n, 2**n, 2**n, 2**n)``.
+
+    Entry ``[f, p]`` is term f's block for the parity bits p (qubit n most
+    significant), rows and columns indexed by the system bits (qubit 1 most
+    significant).  A `_kron_table` of per-qubit (digit, parity) stacks after
+    the same 1x1 one, so every entry has the bits of its entry in the full
+    term.  Cached and read-only.
+    """
+    check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
+    table = _kron_table([_ONE] + [_CHOI_BLOCK_STACK] * n)
+    # Axes (digit_n, parity_n, ..., digit_1, parity_1, row, column).
+    table = table.reshape((4, 2) * n + (2**n, 2**n))
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n, 2 * n + 1]
+    out = np.ascontiguousarray(table.transpose(order)).reshape(4**n, 2**n, 2**n, 2**n)
+    out.setflags(write=False)
+    return out
+
+
 def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
     """Smallest dense Choi eigenvalue of each tau bitmask in a batch.
 
-    The batched form of ``eigvalsh(choi_dense(PceMap(n, m))).min()``: the
-    masks' bits are decoded in one batch, and Choi matrices are built and
-    diagonalized a chunk at a time to bound memory.
+    ``eigvalsh(choi_dense(PceMap(n, m))).min()`` up to rounding, solved as
+    the matrix's ``2**n`` diagonal blocks of size ``2**n`` (see the module
+    docstring): the masks' bits are decoded in one batch, and the blocks are
+    built and diagonalized a chunk of masks at a time to bound memory.
 
     Raises:
         ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
     """
-    terms = choi_basis_terms(n).reshape(4**n, -1)
+    terms = _choi_block_terms(n).reshape(4**n, -1)
     bits = _tau_bits(n, masks)
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
         tau = bits[start : start + chunk].astype(float)
-        choi = (tau @ terms).reshape(len(tau), 4**n, 4**n) / 2**n
-        out[start : start + len(tau)] = np.linalg.eigvalsh(choi)[:, 0]
+        blocks = (tau @ terms).reshape(len(tau) * 2**n, 2**n, 2**n) / 2**n
+        lowest = np.linalg.eigvalsh(blocks)[:, 0].reshape(len(tau), 2**n)
+        out[start : start + len(tau)] = lowest.min(axis=1)
     return out
 
 

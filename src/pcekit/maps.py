@@ -328,26 +328,54 @@ def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
 def _closed_basis(pce: PceMap) -> list[int] | None:
     """Canonical RREF basis of the preserved set; None if it is not closed.
 
-    Listing a subspace's members in ascending order lists their RREF
-    coordinates in ascending order too, so the member at position ``2**i`` is
-    the basis row with the i-th lowest pivot.  The set is therefore closed
-    iff it has ``2**K`` members and the span of those K rows is the set.
-    One decode of tau, no elimination.
+    The one-mask call of `_closed_bases`.
 
     Raises:
         TracePreservationError: if the normalization component is erased.
     """
     if not pce.is_trace_preserving:
         raise TracePreservationError("tau at the zero index is 0")
-    count = pce.preserved_count
-    K = count.bit_length() - 1
-    if 1 << K != count:
-        return None
-    indices = np.flatnonzero(pce.tau_vector().view(bool))
-    rows = [int(indices[1 << i]) for i in range(K)]
-    if PceMap._from_flat(pce.n, _span(rows)) != pce:
-        return None
-    return rows[::-1]
+    return _closed_bases(pce.n, [pce.tau])[0]
+
+
+def _closed_bases(n: int, masks) -> list[list[int] | None]:
+    """Canonical RREF basis of each tau bitmask's preserved set, or None
+    where the mask erases tau_0 or its preserved set is not closed.
+
+    Listing a subspace's members in ascending order lists their RREF
+    coordinates in ascending order too, so the member at position ``2**i`` is
+    the basis row with the i-th lowest pivot.  A set of ``2**K`` members is
+    therefore closed iff those K rows are independent (every XOR combination
+    but the empty one is nonzero) and every combination is a member.  The
+    masks are grouped by popcount, and each group of trace-preserving masks
+    with a power-of-two count is decided at once: one decode, one span of the
+    group's rows, one gather of tau at the span.  No elimination.
+
+    Raises:
+        ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
+    """
+    out: list[list[int] | None] = [None] * len(masks)
+    if not len(masks):
+        return out
+    _check_tau(n, min(masks))
+    _check_tau(n, max(masks))
+    groups: dict[int, list[int]] = {}
+    for position, tau in enumerate(masks):
+        count = tau.bit_count()
+        if tau & 1 and not count & (count - 1):
+            groups.setdefault(count, []).append(position)
+    for count, positions in groups.items():
+        bits = _tau_bits(n, [masks[p] for p in positions]).view(bool).ravel()
+        # Mask g's preserved indices, ascending, offset by g * 4**n.
+        flat = np.flatnonzero(bits).reshape(len(positions), count)
+        offsets = np.arange(len(positions))[:, None] * 4**n
+        rows = flat[:, [1 << i for i in range(count.bit_length() - 1)]] - offsets
+        members = _span(rows)
+        closed = (members[:, 1:] != 0).all(axis=1) & bits[members + offsets].all(axis=1)
+        for p, basis, ok in zip(positions, rows[:, ::-1].tolist(), closed.tolist()):
+            if ok:
+                out[p] = basis
+    return out
 
 
 def is_closed_subspace(pce: PceMap) -> bool:
@@ -417,11 +445,16 @@ def subspace_to_map(subspace: Subspace) -> PceMap:
     return PceMap._from_flat(subspace.n, _span(subspace.basis))
 
 
-def _span(basis) -> np.ndarray:
-    """All ``2**len(basis)`` XOR combinations of the basis rows, unsorted."""
-    members = np.zeros(1 << len(basis), dtype=np.int64)
-    for i, b in enumerate(basis):
-        np.bitwise_xor(members[: 1 << i], b, out=members[1 << i : 2 << i])
+def _span(rows) -> np.ndarray:
+    """All ``2**K`` XOR combinations of the K rows on the last axis, unsorted:
+    shape ``(..., 2**K)``, combination 0 first."""
+    rows = np.asarray(rows, dtype=np.int64)
+    K = rows.shape[-1]
+    members = np.zeros(rows.shape[:-1] + (1 << K,), dtype=np.int64)
+    for i in range(K):
+        np.bitwise_xor(
+            members[..., : 1 << i], rows[..., i : i + 1], out=members[..., 1 << i : 2 << i]
+        )
     return members
 
 

@@ -467,6 +467,32 @@ def test_verify_sampled_three_qubits_json(capsys):
     assert "seed 5" in doc["mode"]
 
 
+def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
+    import pcekit.cli as cli
+    import pcekit.maps as maps
+
+    calls = {"batches": 0, "masks": 0, "maps": 0}
+    closed_bases, post_init = maps._closed_bases, maps.PceMap.__post_init__
+
+    def counting_closed_bases(n, masks):
+        calls["batches"] += 1
+        calls["masks"] += len(masks)
+        return closed_bases(n, masks)
+
+    def counting_post_init(self):
+        calls["maps"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(cli, "_closed_bases", counting_closed_bases)
+    monkeypatch.setattr(maps.PceMap, "__post_init__", counting_post_init)
+    for argv, count in ((["verify", "2"], 2**15), (["verify", "3", "--samples", "50"], 50)):
+        calls.update(batches=0, masks=0, maps=0)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert f"maps checked: {count}" in out
+        assert calls == {"batches": 1, "masks": count, "maps": 0}
+
+
 def test_verify_mode_restrictions(capsys):
     code, _, err = run_cli(["verify", "3", "--exhaustive"], capsys)
     assert code == 2
@@ -498,6 +524,17 @@ def test_tolerance_must_be_nonnegative_and_finite(capsys):
             main([f"--tol={tol}", "verify", "1"])
         assert exc.value.code == 2
         assert "nonnegative and finite" in capsys.readouterr().err
+
+
+def test_seed_must_be_a_nonnegative_integer(capsys):
+    for seed in ("-1", "1.5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, "verify", "3", "--samples", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be a nonnegative integer, got {seed}" in err
+    code, out, _ = run_cli(["--seed", "0", "verify", "3", "--samples", "5"], capsys)
+    assert (code, "seed 0" in out) == (0, True)
 
 
 def test_reruns_are_byte_identical(channel_file, capsys):

@@ -145,21 +145,75 @@ def test_choi_positivity_agrees_with_subspace_criterion_sampled():
         assert dense_cp == is_closed_subspace(m)
 
 
-def _reference_min_eigenvalues(n: int, masks) -> np.ndarray:
-    """Each mask's bits shifted out one at a time, diagonalized in one batch."""
-    tau = np.array([[(m >> f) & 1 for f in range(4**n)] for m in masks], dtype=float)
-    choi = tau @ choi_basis_terms(n).reshape(4**n, -1)
-    return np.linalg.eigvalsh(choi.reshape(len(masks), 4**n, 4**n) / 2**n)[:, 0]
+def _block_order(n: int) -> np.ndarray:
+    """Choi row indices sorted by (parity bits, system bits).
+
+    Row index bits are (s_1 c_1 ... s_n c_n), qubit 1 most significant: the
+    system bit s_k and copy bit c_k of each qubit, adjacent.
+    """
+
+    def key(row):
+        s = [(row >> (2 * (n - k) + 1)) & 1 for k in range(1, n + 1)]
+        c = [(row >> (2 * (n - k))) & 1 for k in range(1, n + 1)]
+        return [a ^ b for a, b in zip(s, c)], s
+
+    return np.array(sorted(range(4**n), key=key))
+
+
+def _off_block(n: int) -> np.ndarray:
+    """True where row and column of the block-ordered Choi matrix lie in
+    different parity blocks."""
+    block = np.arange(4**n) // 2**n
+    return block[:, None] != block[None, :]
+
+
+def _seeded_masks(n: int, count: int, seed: int) -> list[int]:
+    draws = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64)
+    return [int(m) >> (64 - 4**n) for m in draws]
+
+
+def _reference_block_min_eigenvalues(n: int, masks) -> np.ndarray:
+    """``choi_dense`` of each mask, rows and columns permuted into
+    (parity, system) order, its 2**n diagonal blocks solved in one batch."""
+    order, dim = _block_order(n), 2**n
+    blocks = []
+    for m in masks:
+        choi = choi_dense(PceMap(n, m))[np.ix_(order, order)]
+        blocks.extend(choi[b * dim : (b + 1) * dim, b * dim : (b + 1) * dim] for b in range(dim))
+    lowest = np.linalg.eigvalsh(np.stack(blocks))[:, 0]
+    return lowest.reshape(len(masks), dim).min(axis=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_choi_min_eigenvalues_equals_per_mask_shifts(n):
-    # 203 masks fit in one chunk, so both sides make the same matmul and solve.
-    rng = np.random.default_rng(31 + n)
-    draws = rng.integers(0, 2**64, size=200, dtype=np.uint64)
-    masks = [0, 1, (1 << 4**n) - 1] + [int(m) >> (64 - 4**n) for m in draws]
+def test_choi_basis_terms_are_block_diagonal_by_qubit_parity(n):
+    order = _block_order(n)
+    terms = choi_basis_terms(n)[:, order][:, :, order]
+    assert not terms[:, _off_block(n)].any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_min_eigenvalues_bytes_equal_permuted_dense_blocks(n):
+    # Every n = 1 mask; the first 4096 n = 2 masks (they hold the masks whose
+    # 12-digit lambda_min differs from the full-matrix solve) and seeded ones.
+    masks = {1: list(range(16)), 2: list(range(1 << 12)), 3: [0, 1, (1 << 64) - 1]}[n]
+    masks += _seeded_masks(n, 0 if n == 1 else 300, 31 + n)
     got = choi_min_eigenvalues(n, masks)
-    assert got.tobytes() == _reference_min_eigenvalues(n, masks).tobytes()
+    assert got.tobytes() == _reference_block_min_eigenvalues(n, masks).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_min_eigenvalues_match_full_matrix_solve(n):
+    # Every n = 1 and n = 2 mask, and 2000 seeded n = 3 masks.
+    masks = list(range(1 << 4**n)) if n <= 2 else _seeded_masks(3, 2000, 2024)
+    terms = choi_basis_terms(n).reshape(4**n, -1)
+    tau = np.array([PceMap(n, m).tau_vector() for m in masks], dtype=float)
+    full = (tau @ terms).reshape(len(masks), 4**n, 4**n) / 2**n
+    for i in (0, len(masks) // 3, len(masks) - 1):  # the batch is choi_dense's
+        assert np.array_equal(full[i], choi_dense(PceMap(n, masks[i])))
+    expected = np.linalg.eigvalsh(full)[:, 0]
+    got = choi_min_eigenvalues(n, masks)
+    assert np.abs(got - expected).max() <= 1e-12
+    assert np.array_equal(got >= -1e-9, expected >= -1e-9)
 
 
 def test_choi_min_eigenvalues_rejects_masks_out_of_range():

@@ -128,28 +128,33 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
     sub = Subspace.from_vectors(9, [int(v) for v in rng.integers(1, 4**9, size=12)])
     assert sub.dim == 12
     channel = subspace_to_map(sub)
-    counts = {"decodes": 0, "rref_vectors": 0}
-    decode, rref = PceMap.tau_vector, gf2.rref
+    calls = {"decisions": 0, "tau_bits": 0, "rref_vectors": 0}
+    closed_basis, tau_bits, rref = maps._closed_basis, maps._tau_bits, gf2.rref
 
-    def counting_decode(self):
-        counts["decodes"] += 1
-        return decode(self)
+    def counting_closed_basis(pce):
+        calls["decisions"] += 1
+        return closed_basis(pce)
+
+    def counting_tau_bits(n, masks):  # the one decoder, `tau_vector` included
+        calls["tau_bits"] += 1
+        return tau_bits(n, masks)
 
     def counting_rref(vectors):
         vectors = list(vectors)
-        counts["rref_vectors"] += len(vectors)
+        calls["rref_vectors"] += len(vectors)
         return rref(vectors)
 
-    monkeypatch.setattr(PceMap, "tau_vector", counting_decode)
+    monkeypatch.setattr(maps, "_closed_basis", counting_closed_basis)
+    monkeypatch.setattr(maps, "_tau_bits", counting_tau_bits)
     monkeypatch.setattr(gf2, "rref", counting_rref)
     for call, expected in (
         (map_to_subspace, sub),
         (dump_channel_document, dump_channel_document(sub)),
     ):
-        counts.update(decodes=0, rref_vectors=0)
+        calls.update(decisions=0, tau_bits=0, rref_vectors=0)
         assert call(channel) == expected
-        assert counts["decodes"] == 1, call
-        assert counts["rref_vectors"] <= 2 * sub.dim, call
+        assert (calls["decisions"], calls["tau_bits"]) == (1, 1), call
+        assert calls["rref_vectors"] <= 2 * sub.dim, call
 
     # Through the CLI: one closure decision per command, and the witness scan
     # decodes once more only when the decision says "not closed".  A popcount
@@ -162,19 +167,6 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         (members[:-1] + [outsider], 1, {"check": 3, "decompose": 2}),
         (members[:-1], 1, {"check": 2, "decompose": 1}),
     )
-    calls = {"decisions": 0, "tau_bits": 0}
-    closed_basis, tau_bits = maps._closed_basis, maps._tau_bits
-
-    def counting_closed_basis(pce):
-        calls["decisions"] += 1
-        return closed_basis(pce)
-
-    def counting_tau_bits(n, masks):
-        calls["tau_bits"] += 1
-        return tau_bits(n, masks)
-
-    monkeypatch.setattr(maps, "_closed_basis", counting_closed_basis)
-    monkeypatch.setattr(maps, "_tau_bits", counting_tau_bits)
     for indices, code, decodes in cases:
         path = tmp_path / "channel.json"
         preserved = [str(MultiIndex(9, f)) for f in sorted(indices)]
@@ -182,7 +174,10 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         for command in ("check", "decompose"):
             calls.update(decisions=0, tau_bits=0)
             assert main([command, str(path)]) == code, command
-            assert calls == {"decisions": 1, "tau_bits": decodes[command]}, (command, len(indices))
+            assert (calls["decisions"], calls["tau_bits"]) == (1, decodes[command]), (
+                command,
+                len(indices),
+            )
 
 
 def test_choi_spectrum_hand_values():

@@ -1,7 +1,8 @@
 """Property tests: the bitmask conversion, index scan, reflection, closed-form
 recompose and closed-form Choi spectrum against independent per-index, fold and
-sign-transform references; the closure decision against full elimination and
-the closure witness against a pair scan;
+sign-transform references; the closure decision against full elimination,
+the batched decision against the per-mask one and a string scan, and the
+closure witness against a pair scan;
 the enumeration's unchecked subspaces against the validating constructor;
 document round trips; and the algebra of `compose`."""
 
@@ -9,7 +10,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcekit import gf2
@@ -18,6 +19,8 @@ from pcekit.errors import NotAChannelError
 from pcekit.generators import decompose, generator_map, recompose, recompose_subspace
 from pcekit.maps import (
     PceMap,
+    _closed_basis,
+    _closed_bases,
     Subspace,
     channel_spectrum,
     choi_spectrum,
@@ -128,6 +131,54 @@ def test_closure_decision_equals_full_elimination(m):
     assert is_closed_subspace(m) == closed
     if closed:
         assert map_to_subspace(m).basis == tuple(reference)
+
+
+@st.composite
+def mask_batches(draw):
+    """n = 1..4 and a batch of masks on n qubits with mixed popcounts: random
+    masks (about half erase tau_0), channels, and channels with one index
+    added or removed."""
+    n = draw(st.integers(1, 4))
+    masks = []
+    for kind in draw(st.lists(st.sampled_from(["random", "none", "add", "remove"]))):
+        if kind == "random":
+            masks.append(draw(st.integers(0, (1 << 4**n) - 1)))
+            continue
+        members = set(draw(subspaces(n=n)).members())
+        if kind == "add":
+            members.add(draw(st.integers(1, 4**n - 1)))
+        elif kind == "remove" and len(members) > 1:
+            members.remove(draw(st.sampled_from(sorted(members)[1:])))
+        masks.append(sum(1 << f for f in members))
+    return n, masks
+
+
+def string_scan_closed_basis(n, tau):
+    """The decision before numpy: preserved indices from a scan of bin(tau),
+    the rows at positions 2**i, and their sorted span compared with the
+    indices.  None where tau_0 is erased or the set is not closed."""
+    indices = [f for f, bit in enumerate(bin(tau)[:1:-1]) if bit == "1"]
+    K = len(indices).bit_length() - 1
+    if not tau & 1 or 1 << K != len(indices):
+        return None
+    rows = [indices[1 << i] for i in range(K)]
+    return rows[::-1] if gf2.span(rows) == indices else None
+
+
+# Rows 2, 4, 6 at positions 1, 2, 4 are dependent: their combinations are
+# all preserved, but they span 4 of the 8 members.
+DEPENDENT_ROWS = sum(1 << f for f in (0, 2, 4, 5, 6, 7, 8, 9))
+
+
+@PROPERTY
+@given(mask_batches())
+@example((2, [DEPENDENT_ROWS, 0b1011, DEPENDENT_ROWS - 1, 0b1111]))
+def test_batched_closure_decision_equals_per_mask_decision_and_string_scan(case):
+    n, masks = case
+    got = _closed_bases(n, masks)
+    assert got == [string_scan_closed_basis(n, m) for m in masks]
+    assert got == [_closed_basis(PceMap(n, m)) if m & 1 else None for m in masks]
+    assert _closed_bases(n, []) == []
 
 
 def reference_witness(m):
