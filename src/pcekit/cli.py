@@ -368,13 +368,9 @@ def _tolerance(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
