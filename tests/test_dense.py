@@ -193,8 +193,8 @@ def test_choi_basis_terms_are_block_diagonal_by_qubit_parity(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_choi_min_eigenvalues_bytes_equal_permuted_dense_blocks(n):
-    # Every n = 1 mask; the first 4096 n = 2 masks (they hold the masks whose
-    # 12-digit lambda_min differs from the full-matrix solve) and seeded ones.
+    # Every n = 1 mask; the first 4096 n = 2 masks (10 of them print another
+    # 12-digit lambda_min than the full-matrix solve) and seeded ones.
     masks = {1: list(range(16)), 2: list(range(1 << 12)), 3: [0, 1, (1 << 64) - 1]}[n]
     masks += _seeded_masks(n, 0 if n == 1 else 300, 31 + n)
     got = choi_min_eigenvalues(n, masks)

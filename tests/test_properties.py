@@ -154,7 +154,7 @@ def mask_batches(draw):
 
 
 def string_scan_closed_basis(n, tau):
-    """The decision before numpy: preserved indices from a scan of bin(tau),
+    """A string-scan decision: preserved indices from a scan of bin(tau),
     the rows at positions 2**i, and their sorted span compared with the
     indices.  None where tau_0 is erased or the set is not closed."""
     indices = [f for f, bit in enumerate(bin(tau)[:1:-1]) if bit == "1"]
