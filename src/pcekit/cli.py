@@ -140,9 +140,8 @@ def cmd_check(args) -> int:
         pce = obj
         report["is_pce"] = pce.is_trace_preserving
         witness = closure_witness(pce) if pce.is_trace_preserving else None
-        closed = pce.is_trace_preserving and witness is None
-        report["is_channel"] = closed
-        if closed:
+        report["is_channel"] = pce.is_trace_preserving and witness is None
+        if report["is_channel"]:
             report["K"] = pce.preserved_count.bit_length() - 1
         report["popcount"] = pce.preserved_count
         if witness is not None:
@@ -167,7 +166,8 @@ def cmd_check(args) -> int:
         report["oracle"] = {
             "lambda_min": lambda_min,
             "cp": oracle_cp,
-            "agrees": oracle_cp == report["is_channel"],
+            # Erasing tau_0 makes the Choi trace 0: CP only for the zero map.
+            "agrees": oracle_cp == (report["is_channel"] or pce.tau == 0),
         }
     if args.format == "json":
         _emit_json(report)

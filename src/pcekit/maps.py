@@ -360,13 +360,12 @@ def _closed_bases(n: int, masks) -> list[list[int] | None]:
         if tau & 1 and not count & (count - 1):
             groups.setdefault(count, []).append(position)
     for count, positions in groups.items():
-        bits = _tau_bits(n, [masks[p] for p in positions]).view(bool).ravel()
-        # Mask g's preserved indices, ascending, offset by g * 4**n.
-        flat = np.flatnonzero(bits).reshape(len(positions), count)
-        offsets = np.arange(len(positions))[:, None] * 4**n
-        rows = flat[:, [1 << i for i in range(count.bit_length() - 1)]] - offsets
+        bits = _tau_bits(n, [masks[p] for p in positions]).view(bool)
+        # Mask g's preserved index f is at flat position g * 4**n + f.
+        at = [1 << i for i in range(count.bit_length() - 1)]
+        rows = np.flatnonzero(bits).reshape(len(positions), count)[:, at] % 4**n
         members = _span(rows)
-        closed = (members[:, 1:] != 0).all(axis=1) & bits[members + offsets].all(axis=1)
+        closed = (members[:, 1:] != 0).all(1) & np.take_along_axis(bits, members, 1).all(1)
         for p, basis, ok in zip(positions, rows[:, ::-1].tolist(), closed.tolist()):
             if ok:
                 out[p] = basis
@@ -387,33 +386,32 @@ def closure_witness(
 ) -> tuple[MultiIndex, MultiIndex, MultiIndex] | None:
     """First preserved pair whose sum is erased, with that sum; None if closed.
 
-    Pairs are scanned in ascending flat-index order, so the witness is
-    deterministic.
+    Decides closure once, then scans pairs in ascending flat-index order, so
+    the witness is deterministic.
+
+    Raises:
+        TracePreservationError: if the normalization component is erased.
     """
-    if pce.is_trace_preserving and _closed_basis(pce) is not None:
+    if _closed_basis(pce) is not None:
         return None
     return _first_erased_sum(pce)
 
 
-def _first_erased_sum(
-    pce: PceMap,
-) -> tuple[MultiIndex, MultiIndex, MultiIndex] | None:
-    """The pair scan of `closure_witness`, run only on maps not known to be
-    closed: those `_closed_basis` rejected, and those that erase tau_0.
+def _first_erased_sum(pce: PceMap) -> tuple[MultiIndex, MultiIndex, MultiIndex]:
+    """The pair scan of `closure_witness`, run only on trace-preserving maps
+    that `_closed_basis` rejected; a set that holds 0 and every pairwise sum
+    is a subspace, so the scan always finds a pair.
 
-    Decodes tau once: the ascending index list also fills the membership
-    array that each ``a ^ later`` gather reads.
+    Decodes tau once and reads only that array: its set positions, ascending,
+    are walked by position, and each ``a ^ later`` gather reads it.
     """
-    indices = pce.preserved_indices()
-    later = np.array(indices, dtype=np.int64)
-    present = np.zeros(4**pce.n, dtype=bool)
-    present[later] = True
-    for i, a in enumerate(indices):
+    present = pce.tau_vector().view(bool)
+    later = np.flatnonzero(present)
+    for i, a in enumerate(later):
         erased = np.flatnonzero(~present[later[i + 1 :] ^ a])
         if erased.size:
-            b = indices[i + 1 + int(erased[0])]
+            a, b = int(a), int(later[i + 1 + int(erased[0])])
             return MultiIndex(pce.n, a), MultiIndex(pce.n, b), MultiIndex(pce.n, a ^ b)
-    return None
 
 
 def is_completely_positive(pce: PceMap | Subspace) -> bool:

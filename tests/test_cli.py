@@ -144,6 +144,22 @@ def test_check_matches_golden_files(name, fmt, tmp_path, capsys):
     assert out == (GOLDEN_DIR / f"check_{name}_{fmt}.txt").read_text()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_zero_map_oracle_agrees(n, tmp_path, capsys):
+    # The zero map erases tau_0, so it is not a channel, but its Choi matrix
+    # is 0 and the oracle rightly calls it CP: the two verdicts agree.
+    path = write_json(tmp_path, "zero.json", {"n": n, "preserved": []})
+    code, out, _ = run_cli(["check", path], capsys)
+    assert code == 1
+    lines = set(out.splitlines())
+    assert {"is_channel: no", "oracle_cp: yes", "oracle_agrees: yes"} <= lines
+    code, out, _ = run_cli(["--format", "json", "check", path], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["is_channel"] is False
+    assert doc["oracle"] == {"lambda_min": 0.0, "cp": True, "agrees": True}
+
+
 def test_check_reports_channel_spectra_without_the_sign_transform(
     tmp_path, capsys, monkeypatch
 ):

@@ -93,14 +93,16 @@ def test_identity_checks_n_before_building_the_mask():
 
 def test_single_qubit_channel_classification_exhaustive():
     channels = set()
-    for tau in range(1 << 4):
-        m = PceMap(1, tau)
+    # The n = 2 map {10, 01} erases tau_0 and also the sum 11 of its pair.
+    candidates = [PceMap(1, tau) for tau in range(1 << 4)]
+    for m in candidates + [PceMap.from_preserved(2, ["10", "01"])]:
         if not m.is_trace_preserving:
-            with pytest.raises(TracePreservationError):
-                is_closed_subspace(m)
+            for decide in (is_closed_subspace, closure_witness, map_to_subspace):
+                with pytest.raises(TracePreservationError):
+                    decide(m)
             continue
         if is_closed_subspace(m):
-            channels.add(tau)
+            channels.add(m.tau)
     assert channels == SINGLE_QUBIT_CHANNELS
 
 
