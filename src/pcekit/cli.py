@@ -140,8 +140,9 @@ def cmd_check(args) -> int:
         pce = obj
         report["is_pce"] = pce.is_trace_preserving
         witness = closure_witness(pce) if pce.is_trace_preserving else None
-        report["is_channel"] = pce.is_trace_preserving and witness is None
-        if report["is_channel"]:
+        closed = pce.is_trace_preserving and witness is None
+        report["is_channel"] = closed
+        if closed:
             report["K"] = pce.preserved_count.bit_length() - 1
         report["popcount"] = pce.preserved_count
         if witness is not None:

@@ -361,11 +361,13 @@ def _closed_bases(n: int, masks) -> list[list[int] | None]:
             groups.setdefault(count, []).append(position)
     for count, positions in groups.items():
         bits = _tau_bits(n, [masks[p] for p in positions]).view(bool)
-        # Mask g's preserved index f is at flat position g * 4**n + f.
+        # Mask g's index f is at flat position g * 4**n + f, i.e. (g << 2n) | f.
         at = [1 << i for i in range(count.bit_length() - 1)]
         rows = np.flatnonzero(bits).reshape(len(positions), count)[:, at] % 4**n
         members = _span(rows)
-        closed = (members[:, 1:] != 0).all(1) & np.take_along_axis(bits, members, 1).all(1)
+        closed = (members[:, 1:] != 0).all(axis=1)
+        members |= np.arange(len(positions))[:, None] << 2 * n
+        closed &= bits.reshape(-1)[members].all(axis=1)
         for p, basis, ok in zip(positions, rows[:, ::-1].tolist(), closed.tolist()):
             if ok:
                 out[p] = basis
@@ -399,12 +401,9 @@ def closure_witness(
 
 def _first_erased_sum(pce: PceMap) -> tuple[MultiIndex, MultiIndex, MultiIndex]:
     """The pair scan of `closure_witness`, run only on trace-preserving maps
-    that `_closed_basis` rejected; a set that holds 0 and every pairwise sum
-    is a subspace, so the scan always finds a pair.
-
-    Decodes tau once and reads only that array: its set positions, ascending,
-    are walked by position, and each ``a ^ later`` gather reads it.
-    """
+    that `_closed_basis` rejected, which always hold a pair with an erased
+    sum.  Decodes tau once and reads only that array, walking its set
+    positions in ascending order."""
     present = pce.tau_vector().view(bool)
     later = np.flatnonzero(present)
     for i, a in enumerate(later):
