@@ -74,10 +74,13 @@ def _emit_json(doc: dict) -> None:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray, np.ndarray | None]:
@@ -273,11 +276,15 @@ def cmd_evolve(args) -> int:
         raise DimensionMismatchError(
             f"state has n={n} but process has n={proc.n}"
         )
-    # evolve_components checks t too, but only after the header is printed.
-    if not 0 <= args.t < math.inf:
-        raise ValueError("time must be a nonnegative finite number")
+    # evolve_components checks each row's time too, but only after the header
+    # is printed; row i's time args.t * i / args.steps stays finite for every
+    # i <= args.steps iff args.t * args.steps does.
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
+    if not 0 <= args.t < math.inf:
+        raise ValueError("time must be a nonnegative finite number")
+    if not args.t * args.steps < math.inf:
+        raise ValueError(f"time * --steps must be finite, got {args.t!r} * {args.steps}")
     print("t,alpha,r")
     final = r0
     for i in range(args.steps + 1):
@@ -365,6 +372,12 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {text}")
+    # The dense solvers' rounding noise on a channel's lambda_min reaches
+    # about -7e-16; a tolerance below it reads working channels as not CP.
+    if value < 1e-12:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1e-12, above the dense solvers' rounding noise, got {text}"
+        )
     return value
 
 

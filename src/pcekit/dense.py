@@ -11,8 +11,11 @@ eigensolver, with no reuse of the exact integer transform.
 Every Choi term kron(P, P*) keeps the parity of each qubit's system bit and
 copy bit, so a Choi matrix is block-diagonal in the basis ordered by (parity
 bits, system bits): ``2**n`` blocks of size ``2**n``.  `choi_min_eigenvalues`
-builds and solves those blocks only; `choi_basis_terms` and `choi_dense`
-keep the full ``4**n x 4**n`` form as the reference.
+builds and solves those blocks only; `choi_basis_terms` is the one table of
+Choi terms, from which the blocks are gathered entry for entry, and
+`choi_dense` keeps the full ``4**n x 4**n`` form as the reference.  A fresh
+process's first n = 3 oracle call builds the full table (about 2 ms) before
+gathering its blocks.
 
 Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
 ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
@@ -183,29 +186,23 @@ def choi_dense(pce: PceMap) -> np.ndarray:
     return (tau @ terms.reshape(dim, dim * dim)).reshape(dim, dim) / 2**pce.n
 
 
-# A qubit's kron(P, P*) factor restricted to one parity p = s ^ c of its system
-# bit s and copy bit c: rows and columns (s, s ^ p) for s = 0, 1, at p + 2 * digit.
-_CHOI_BLOCK_STACK = np.stack(
-    [term[np.ix_(rows, rows)] for term in _CHOI_STACK for rows in ([0, 3], [1, 2])]
-)
-
-
 @functools.lru_cache(maxsize=4)
 def _choi_block_terms(n: int) -> np.ndarray:
     """The diagonal blocks of `choi_basis_terms`, shape ``(4**n, 2**n, 2**n, 2**n)``.
 
     Entry ``[f, p]`` is term f's block for the parity bits p (qubit n most
-    significant), rows and columns indexed by the system bits (qubit 1 most
-    significant).  A `_kron_table` of per-qubit (digit, parity) stacks after
-    the same 1x1 one, so every entry has the bits of its entry in the full
-    term.  Cached and read-only.
+    significant), rows and columns indexed by the system bits s (qubit 1 most
+    significant).  Gathered from the full terms: qubit k's system bit s_k and
+    copy bit s_k ^ p_k sit at bits ``2*(n-k) + 1`` and ``2*(n-k)`` of a Choi
+    row index.  Cached, read-only and C-contiguous.
     """
-    check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
-    table = _kron_table([_ONE] + [_CHOI_BLOCK_STACK] * n)
-    # Axes (digit_n, parity_n, ..., digit_1, parity_1, row, column).
-    table = table.reshape((4, 2) * n + (2**n, 2**n))
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n, 2 * n + 1]
-    out = np.ascontiguousarray(table.transpose(order)).reshape(4**n, 2**n, 2**n, 2**n)
+    terms = choi_basis_terms(n).reshape(4**n, 4**n * 4**n)
+    p, s = np.arange(2**n)[:, None], np.arange(2**n)[None, :]
+    rows = 0
+    for k in range(1, n + 1):
+        s_k, p_k = (s >> (n - k)) & 1, (p >> (k - 1)) & 1
+        rows = rows + ((2 * s_k + (s_k ^ p_k)) << 2 * (n - k))
+    out = terms.take(rows[:, :, None] * 4**n + rows[:, None, :], axis=1)
     out.setflags(write=False)
     return out
 

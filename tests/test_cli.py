@@ -207,11 +207,44 @@ def test_check_malformed_json_is_usage_error(tmp_path, capsys):
     assert '"n" must be an integer' in err
 
 
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"n": 1, "preserved": [' + "[" * 5000 + "]" * 5000 + "]}")
+    proc = write_json(tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]})
+    sched = write_json(tmp_path, "sched.json", {"n": 1, "labels": ["3"]})
+    state = write_json(tmp_path, "state.json", {"n": 1, "components": [1, 0, 0, 0]})
+    for bad in (str(deep), str(nested)):
+        for argv in (
+            ["check", bad],
+            ["decompose", bad],
+            ["diagram", bad],
+            ["evolve", bad, state, "1.0"],
+            ["evolve", proc, bad, "1.0"],
+            ["collide", bad, state],
+            ["collide", sched, bad],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {bad}: JSON nested too deeply to parse\n", argv
+
+
 def test_census_text(capsys):
     code, out, _ = run_cli(["census", "2"], capsys)
     assert code == 0
     assert "total 67 67" in out
     assert "symmetric: yes" in out
+
+
+@pytest.mark.parametrize("n, per_K", [(1, [1, 3, 1]), (2, [1, 15, 35, 15, 1])])
+def test_census_json_small_n_reports_enumeration(n, per_K, capsys):
+    code, out, _ = run_cli(["--format", "json", "census", str(n)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    counts = {str(K): c for K, c in enumerate(per_K)}
+    assert (doc["per_K"], doc["enumerated"]) == (counts, counts)
+    assert doc["formula_matches_enumeration"] is True
 
 
 def test_census_json_large_n_formula_only(capsys):
@@ -316,6 +349,33 @@ def test_evolve_zero_time_echoes_initial_state(tmp_path, capsys):
     assert out.splitlines()[-1].endswith("= 0.5")
 
 
+def test_evolve_steps_must_be_at_least_1(tmp_path, capsys):
+    proc = write_json(
+        tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
+    )
+    state = write_json(tmp_path, "state.json", {"n": 1, "components": [1, 0.5, 0, 0]})
+    code, out, err = run_cli(["evolve", proc, state, "1.0", "--steps", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: --steps must be at least 1\n")
+
+
+def test_evolve_refuses_an_overflowing_time_before_the_header(tmp_path, capsys):
+    proc = write_json(
+        tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
+    )
+    state = write_json(tmp_path, "state.json", {"n": 1, "components": [1, 0.5, 0, 0]})
+    for t, steps, message in (
+        # Row t = 2 * 1e308 / 2 overflows, so no row may be printed.
+        ("1e308", "2", "time * --steps must be finite"),
+        # --steps is checked first, so it keeps its own message.
+        ("-1.0", "-1", "--steps must be at least 1"),
+    ):
+        code, out, err = run_cli(["evolve", proc, state, t, "--steps", steps], capsys)
+        assert (code, out) == (2, ""), (t, steps)
+        assert message in err, err
+    code, out, _ = run_cli(["evolve", proc, state, "1e308", "--steps", "1"], capsys)
+    assert code == 0 and out.startswith("t,alpha,r\n0,0,1\n")
+
+
 def test_evolve_dimension_mismatch_is_usage_error(tmp_path, capsys):
     proc = write_json(
         tmp_path, "proc.json", {"n": 2, "terms": [{"alpha": "33", "gamma": 1.0}]}
@@ -343,6 +403,7 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
         (good_proc, {"n": 1, "components": [1, {}, 0, 0]}, "1.0", '"components" must be'),
         (good_proc, {"n": 1, "components": "1000"}, "1.0", '"components" must be'),
         (good_proc, {"n": 1, "components": [10**400, 0, 0, 0]}, "1.0", '"components" must be'),
+        (good_proc, {"n": 1}, "1.0", 'state document needs "components" or "rho"'),
         (good_proc, {"n": 1, "rho": {"a": 1}}, "1.0", '"rho" must be'),
         (good_proc, {"n": 1, "rho": [[[1, 0], [0, 0]], [[0, 0]]]}, "1.0", '"rho" must be'),
         # JSON strings and bools are not numbers.
@@ -382,6 +443,7 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
         ({"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
         (good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
         (good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
+        ({"n": 2, "labels": ["33"]}, good_state, "state has n=1 but schedule has n=2"),
         # A valid state beyond the dense limit has no matrix to collide.
         (
             {"n": 6, "labels": ["111111"]},
@@ -540,6 +602,19 @@ def test_tolerance_must_be_nonnegative_and_finite(capsys):
             main([f"--tol={tol}", "verify", "1"])
         assert exc.value.code == 2
         assert "nonnegative and finite" in capsys.readouterr().err
+
+
+def test_tolerance_must_be_above_rounding_noise(capsys):
+    # Channels' dense lambda_min reaches about -7e-16 in rounding noise.
+    for tol in ("0", "1e-16", "9.9e-13"):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "verify", "2"])
+        assert exc.value.code == 2
+        assert f"must be at least 1e-12, above the dense solvers' rounding noise, got {tol}" in (
+            capsys.readouterr().err
+        )
+    code, out, _ = run_cli(["--tol", "1e-12", "verify", "2"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "verdict: PASS")
 
 
 def test_seed_must_be_a_nonnegative_integer(capsys):

@@ -1,11 +1,13 @@
 """Dense-matrix mirror of the symbolic layer, plus quantum-classical channels."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from pcekit.dense import (
+    _choi_block_terms,
     apply_generator_kraus,
     apply_pce,
     choi_basis_terms,
@@ -189,6 +191,27 @@ def test_choi_basis_terms_are_block_diagonal_by_qubit_parity(n):
     order = _block_order(n)
     terms = choi_basis_terms(n)[:, order][:, :, order]
     assert not terms[:, _off_block(n)].any()
+
+
+# sha256 of `_choi_block_terms(n).tobytes()` as built by a per-qubit
+# (digit, parity) `_kron_table` chain before the blocks were gathered.
+_CHOI_BLOCK_DIGESTS = {
+    1: "736cc00efe16926fdb9f882f8fdc4ca758b33ef909ca2bb9ece85ba0e57b687c",
+    2: "cf4bbba3d807040e61e4ef6ac856bca8cb57887c83d4e529998188cec523afbf",
+    3: "a6bfae5b66042733efaf4956791b67814660529fb2d4d496328b08a65d327a9b",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_block_terms_are_the_permuted_blocks_of_the_full_terms(n):
+    blocks, dim = _choi_block_terms(n), 2**n
+    assert hashlib.sha256(blocks.tobytes()).hexdigest() == _CHOI_BLOCK_DIGESTS[n]
+    assert blocks.flags.c_contiguous and not blocks.flags.writeable
+    terms, order = choi_basis_terms(n), _block_order(n).reshape(dim, dim)
+    for p in range(dim):
+        # `_block_order` sorts the parity bits qubit 1 first, the blocks qubit n.
+        rows = order[int(f"{p:0{n}b}"[::-1], 2)]
+        assert blocks[:, p].tobytes() == terms[:, rows][:, :, rows].tobytes(), p
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
