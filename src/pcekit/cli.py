@@ -317,23 +317,21 @@ def cmd_collide(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.exhaustive and args.samples is not None:
-        raise ValueError("choose either --exhaustive or --samples")
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    # Refused before any draw: a larger count would only exhaust memory.
-    if args.samples is not None and args.samples > DEFAULT_ENUMERATION_LIMIT:
-        raise ValueError(f"--samples must be at most {DEFAULT_ENUMERATION_LIMIT}")
-    exhaustive = args.exhaustive or (args.samples is None and args.n <= 2)
-    if exhaustive:
-        if args.n > 2:
-            raise ValueError("--exhaustive supports n <= 2 only")
+    # The mode follows n: every map for n <= 2, a sample for n = 3.
+    if args.n <= 2:
+        if args.samples is not None:
+            raise ValueError("--samples supports n = 3 only")
         masks = [1 | (m << 1) for m in range(1 << (4**args.n - 1))]
         mode = "exhaustive"
     else:
-        if args.n != 3:
-            raise ValueError("--samples supports n = 3 only")
+        if args.exhaustive:
+            raise ValueError("--exhaustive supports n <= 2 only")
         count = 10000 if args.samples is None else args.samples
+        if count < 1:
+            raise ValueError("--samples must be at least 1")
+        # Refused before any draw: a larger count would only exhaust memory.
+        if count > DEFAULT_ENUMERATION_LIMIT:
+            raise ValueError(f"--samples must be at most {DEFAULT_ENUMERATION_LIMIT}")
         rng = np.random.default_rng(args.seed)
         draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
         masks = [int(d) | 1 for d in draws]

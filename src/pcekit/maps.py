@@ -42,6 +42,7 @@ from .pauli import (
     MultiIndex,
     _base4_code,
     _check_same_n,
+    _flat_index,
     check_qubits,
     parse_qubit_count,
     sign_transform,
@@ -93,8 +94,9 @@ class PceMap:
         """Build from an iterable of preserved indices.
 
         Each index is a base-4 string of ``n`` digits (qubit 1 first), a
-        `MultiIndex`, or a flat int.
+        `MultiIndex`, or a flat integer in ``0 .. 4**n - 1``.
         """
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")
         flat = [
             _preserved_code(idx, n) if isinstance(idx, str) else _index_code(idx, n)
             for idx in indices
@@ -103,17 +105,10 @@ class PceMap:
 
     @classmethod
     def _from_flat(cls, n: int, flat) -> "PceMap":
-        """Build from a list or array of flat indices, each checked to be in range."""
-        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bytes
-        try:
-            codes = np.asarray(flat, dtype=np.int64)
-        except OverflowError:  # beyond int64, hence out of range; compare exactly
-            codes = np.array(flat, dtype=object)
-        outside = (codes < 0) | (codes >= 4**n)
-        if outside.any():
-            raise ValueError(f"flat index {flat[outside.argmax()]} out of range for n={n}")
+        """Trusted encoder, nothing checked: ``n`` passed `check_qubits` for the
+        bitmask form and each index in the list or array ``flat`` is in range."""
         bits = np.zeros(4**n, dtype=np.uint8)
-        bits[codes] = 1
+        bits[flat] = 1
         return cls.from_bits(n, bits)
 
     @classmethod
@@ -147,13 +142,14 @@ class PceMap:
 
 
 def _index_code(idx: MultiIndex | int, n: int) -> int:
-    """Flat code of a `MultiIndex` on ``n`` qubits, or of a plain int.
+    """Flat code of a `MultiIndex` on ``n`` qubits, or of an integer index.
 
     Raises:
         DimensionMismatchError: if a `MultiIndex` has another qubit count.
+        ValueError: if an integer index is not one (see `_flat_index`).
     """
     if not isinstance(idx, MultiIndex):
-        return int(idx)
+        return _flat_index(idx, n)
     if idx.n != n:
         raise DimensionMismatchError(f"qubit counts differ: {idx.n} vs {n}")
     return idx.code
@@ -168,14 +164,9 @@ def _tau_bits(n: int, masks) -> np.ndarray:
     """The bits of each tau bitmask (a Python int) in ``masks``, bit f in
     column f: a uint8 0/1 array of shape ``(len(masks), 4**n)`` from one
     unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector` and
-    the dense oracle's batches both decode through it.
-
-    Raises:
-        ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
+    the dense oracle's batches both decode through it.  Trusted: every mask
+    is in ``0 .. 2**(4**n) - 1``, as in a `PceMap`.
     """
-    if len(masks):
-        _check_tau(n, min(masks))
-        _check_tau(n, max(masks))
     width = (4**n + 7) // 8
     raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
     return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * width)[:, : 4**n]
@@ -196,9 +187,7 @@ class Subspace:
 
     def __post_init__(self) -> None:
         check_qubits(self.n)
-        rows = list(self.basis)
-        if any(not 0 < v < 4**self.n for v in rows):
-            raise ValueError(f"basis vector out of range for n={self.n}")
+        rows = [_flat_index(v, self.n) for v in self.basis]
         if gf2.rref(rows) != rows:
             raise ValueError("basis is not in canonical reduced row echelon form")
 
@@ -214,10 +203,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "Subspace":
         """Span of arbitrary vectors (MultiIndex or packed int), canonicalized."""
-        codes = [_index_code(v, n) for v in vectors]
-        if any(not 0 <= c < 4**n for c in codes):
-            raise ValueError(f"vector out of range for n={n}")
-        return cls(n, tuple(gf2.rref(codes)))
+        check_qubits(n)
+        return cls._canonical(n, tuple(gf2.rref([_index_code(v, n) for v in vectors])))
 
     @property
     def dim(self) -> int:
@@ -523,7 +510,9 @@ def load_channel_document(doc: dict) -> PceMap | Subspace:
         entries = doc["preserved"]
         if not isinstance(entries, list):
             raise ValueError('"preserved" must be a list of base-4 strings')
-        return PceMap._from_flat(n, [_preserved_code(text, n) for text in entries])
+        codes = [_preserved_code(text, n) for text in entries]
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")
+        return PceMap._from_flat(n, codes)
     entries = doc["basis"]
     if not isinstance(entries, list):
         raise ValueError('"basis" must be a list of bit strings')

@@ -27,6 +27,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,18 @@ def _base4_code(text: str) -> int:
     return int(text[::-1], 4)
 
 
+def _flat_index(value, n: int) -> int:
+    """``value`` as a flat index on ``n`` qubits, else ValueError naming it:
+    the one range rule for indices entering the package."""
+    try:
+        code = operator.index(value)
+    except TypeError:
+        raise ValueError(f"flat index {value!r} is not an integer") from None
+    if not 0 <= code < 4**n:
+        raise ValueError(f"flat index {code} out of range for n={n}")
+    return code
+
+
 def _low_mask(n: int) -> int:
     """Mask selecting the low (j) bit of every digit: bits 0, 2, 4, ..."""
     return (4**n - 1) // 3
@@ -132,8 +145,7 @@ class MultiIndex:
 
     def __post_init__(self) -> None:
         check_qubits(self.n)
-        if not 0 <= self.code < 4**self.n:
-            raise ValueError(f"code {self.code} out of range for n={self.n}")
+        _flat_index(self.code, self.n)
 
     @classmethod
     def from_digits(cls, digits: tuple[int, ...] | list[int]) -> "MultiIndex":

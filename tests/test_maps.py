@@ -320,6 +320,25 @@ def test_subspace_canonicalization_and_equality():
         Subspace(1, (4,))  # out of range
 
 
+def test_indices_entering_must_be_integers_in_range():
+    # Each entry point checks an index once, where it enters: a float is
+    # refused, not truncated, and an index out of range is not a non-member.
+    sub = Subspace.from_vectors(1, [1])
+    for build, message in (
+        (lambda: PceMap.from_preserved(1, [0, 2.7]), "flat index 2.7 is not an integer"),
+        (lambda: Subspace.from_vectors(1, [1.9]), "flat index 1.9 is not an integer"),
+        (lambda: Subspace.from_vectors(1, [4]), "flat index 4 out of range for n=1"),
+        (lambda: sub.contains(1.2), "flat index 1.2 is not an integer"),
+        (lambda: sub.contains(100), "flat index 100 out of range for n=1"),
+        (lambda: Subspace(1, (1.0,)), "flat index 1.0 is not an integer"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+    assert sub.contains(np.int64(1)) and not sub.contains(2)
+    assert PceMap.from_preserved(1, [np.int64(3)]).tau == 0b1000
+
+
 def test_closure_builds_span():
     sub = closure(2, [MultiIndex(2, 5), MultiIndex(2, 8)])
     assert sub.members() == [0, 5, 8, 13]

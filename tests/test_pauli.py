@@ -49,6 +49,8 @@ def test_invalid_encodings_rejected():
         MultiIndex(1, 4)
     with pytest.raises(ValueError):
         MultiIndex(1, -1)
+    with pytest.raises(ValueError, match="flat index 2.5 is not an integer"):
+        MultiIndex(1, 2.5)
     for text in ("14", "", "+1", " 1", "1_0", "\u0661"):
         with pytest.raises(ValueError):
             MultiIndex.from_string(text)
