@@ -14,8 +14,8 @@ bits, system bits): ``2**n`` blocks of size ``2**n``.  `choi_min_eigenvalues`
 builds and solves those blocks only; `choi_basis_terms` is the one table of
 Choi terms, from which the blocks are gathered entry for entry, and
 `choi_dense` keeps the full ``4**n x 4**n`` form as the reference.  A fresh
-process's first n = 3 oracle call builds the full table (about 2 ms) before
-gathering its blocks.
+process's first n = 3 oracle call builds the full table before gathering its
+blocks.
 
 Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
 ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``

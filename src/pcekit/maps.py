@@ -233,7 +233,11 @@ class ChoiSpectrum:
     numerators: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.numerators, dtype=np.int64)
+        values = np.asarray(self.numerators)
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
+            arr = values.astype(np.int64, copy=False)
+        if values.dtype.kind not in "biu" and not np.array_equal(arr, values):
+            raise ValueError("Choi numerators must be integers")
         arr.setflags(write=False)
         object.__setattr__(self, "numerators", arr)
         if arr.shape != (4**self.n,):

@@ -82,7 +82,12 @@ SIGN_TABLE = np.array(
 
 
 def check_qubits(n: int, limit: int = N_MAX, what: str = "the symbolic form") -> None:
-    """Raise CapacityError unless ``1 <= n <= limit``; ``what`` names the object."""
+    """Raise ValueError unless ``n`` is an integer and CapacityError unless
+    ``1 <= n <= limit``; ``what`` names the object."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"{what} needs an integer qubit count, got n={n!r}") from None
     if not 1 <= n <= limit:
         raise CapacityError(f"{what} needs 1 <= n <= {limit}, got n={n}")
 
@@ -296,18 +301,27 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
     Every partial sum is an integer of size at most ``max|vec| * 4**n``, so
     the working copy is float32 while that bound is <= 2**24 (every 0/1 mask
     up to n = 12), float64 while it is <= 2**53 (every 0/1 mask and every
-    `tau_from_spectrum` input up to n = 13) and int64 beyond (with numpy's
-    integer wraparound).  In the float cases every partial sum is exactly
-    representable, so the result is exact in any summation order.  The
-    transform is its own inverse up to a factor ``4**n``.
+    `tau_from_spectrum` input up to n = 13) and int64 beyond.  In the float
+    cases every partial sum is exactly representable, so the result is exact
+    in any summation order.  In int64 every partial sum is bounded by its
+    row's L1 norm, so the result is exact while each row's L1 norm stays
+    below 2**63.  The transform is its own inverse up to a factor ``4**n``.
+
+    Raises:
+        ValueError: if the last axis is not of length ``4**n``, or if some
+            row's L1 norm reaches 2**63, where an output can leave int64.
     """
     work = np.asarray(vec)
+    size = work.shape[-1] if work.ndim else 0
+    if size < 1 or size & (size - 1) or not size.bit_length() & 1:
+        raise ValueError(f"sign_transform needs a last axis of 4**n entries, got {work.shape}")
     if work.dtype.kind not in "biu":
         work = work.astype(np.int64)
-    size = work.shape[-1]
     peak = max(int(work.max()), -int(work.min())) if work.size else 0
     bound = peak * size
     dtype = np.float32 if bound <= 2**24 else np.float64 if bound <= 2**53 else np.int64
+    if dtype is np.int64 and _l1_reaches_2_63(work):
+        raise ValueError("sign_transform input has a row whose L1 norm reaches 2**63")
     out = np.empty(work.shape, np.int64)
     flat = out.reshape(-1).view(dtype)[: out.size]  # the working copy, in out's memory
     flat.reshape(work.shape)[...] = work
@@ -327,6 +341,18 @@ def sign_transform(vec: np.ndarray) -> np.ndarray:
             scratch[: stop - start] = flat[start:stop]
             ints[start:stop] = scratch[: stop - start]
     return out
+
+
+def _l1_reaches_2_63(work: np.ndarray) -> bool:
+    """Whether some row (last axis) of an integer array has an L1 norm of at
+    least 2**63, computed exactly: the uint64 magnitudes are summed in 32-bit
+    halves, so no sum wraps for rows shorter than 2**32."""
+    magnitude = work.astype(np.uint64)
+    if work.dtype.kind == "i":
+        np.negative(magnitude, out=magnitude, where=work < 0)  # modulo 2**64: |v|
+    high = (magnitude >> 32).sum(axis=-1)
+    low = (magnitude & 0xFFFFFFFF).sum(axis=-1)
+    return bool((high + (low >> 32) >= 2**31).any())
 
 
 def _sign_stage(flat: np.ndarray, table: np.ndarray, stride: int, scratch) -> None:

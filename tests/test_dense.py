@@ -54,6 +54,10 @@ def test_component_round_trip_and_normalization():
 def test_pauli_components_rejects_non_hermitian():
     with pytest.raises(ValueError):
         pauli_components(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+        pauli_components(np.eye(3))
+    with pytest.raises(ValueError, match="length 5 is not a power of four"):
+        from_pauli_components(np.ones(5))
 
 
 def test_apply_pce_masks_components():

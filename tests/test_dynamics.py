@@ -53,6 +53,8 @@ def test_process_validation():
         DissipativeProcess.from_terms([("3", float("inf"))])
     with pytest.raises(DimensionMismatchError):
         DissipativeProcess.from_terms([("3", 1.0), ("33", 1.0)])
+    with pytest.raises(ValueError, match="labels and gammas must have equal length"):
+        DissipativeProcess(1, (MultiIndex(1, 3),), (1.0, 2.0))
     proc = DissipativeProcess.from_terms([("03", 1.5), ("33", 0.5)])
     assert proc.n == 2
     assert [str(v) for v in proc.labels] == ["03", "33"]
@@ -187,6 +189,11 @@ def test_single_collision_equals_generator_kraus_pair():
         label = MultiIndex(2, code)
         out = collide(CollisionSchedule(2, (label,)), rho)
         assert np.abs(out - apply_generator_kraus(label, rho)).max() < 1e-12
+    one_qubit = _random_state(1, 31)
+    with pytest.raises(DimensionMismatchError, match="state dimension 2 does not match n=2"):
+        apply_generator_kraus(label, one_qubit)
+    with pytest.raises(DimensionMismatchError, match="state dimension 2 does not match n=2"):
+        collide(CollisionSchedule(2, (label,)), one_qubit)
 
 
 def test_collision_schedule_composes_generator_masks():
@@ -254,3 +261,5 @@ def test_schedule_json_round_trip():
         schedule_from_json_dict({"n": 1, "labels": ["03"]})  # n conflict
     with pytest.raises(CapacityError):
         CollisionSchedule(17, ())
+    with pytest.raises(DimensionMismatchError, match="schedule labels have mixed qubit counts"):
+        CollisionSchedule(2, (MultiIndex(2, 3), MultiIndex(1, 3)))

@@ -187,6 +187,9 @@ def test_reflection_parity_hand_values():
     assert reflection_parity(MultiIndex(1, 3), 1) == 1
     assert reflection_parity(MultiIndex(1, 1), 1) == -1
     assert reflection_parity(MultiIndex(1, 2), 1) == -1
+    for k in (0, 2):
+        with pytest.raises(ValueError, match=f"qubit index {k} out of range 1..1"):
+            reflection_parity(MultiIndex(1, 2), k)
 
 
 def test_generators_reflect_symmetrically_or_antisymmetrically():

@@ -66,6 +66,8 @@ def test_tau_vector_layout():
     v = m.tau_vector()
     assert v.shape == (16,)
     assert list(np.nonzero(v)[0]) == [0, 2, 15]
+    with pytest.raises(ValueError, match=r"expected 16 bits for n=2, got shape \(15,\)"):
+        PceMap.from_bits(2, v[1:])
 
 
 def test_bitmask_capacity_limits():
@@ -186,6 +188,7 @@ def test_choi_spectrum_hand_values():
     # tau = (1,1,1,0): sign transform gives (3,1,1,-1), denominator 2.
     spec = choi_spectrum(PceMap(1, 0b0111))
     assert list(spec.numerators) == [3, 1, 1, -1]
+    assert spec.value(0) == Fraction(3, 2) and spec.value(3) == Fraction(-1, 2)
     assert spec.min_value() == Fraction(-1, 2)
     assert spec.sum_value() == 2
     assert not spec.is_nonnegative
@@ -198,6 +201,17 @@ def test_choi_spectrum_hand_values():
     # Dephasing: (1,0,0,1) eigenvalues.
     spec = choi_spectrum(PceMap(1, 0b1001))
     assert list(spec.numerators) == [2, 0, 0, 2]
+
+
+def test_choi_spectrum_numerators_are_integers_of_length_4_to_the_n():
+    # Non-integral numerators are refused, not truncated to (3, 1, 1, -1).
+    for numerators in ([3.7, 1.2, 1, -1], [3, 1, 1, np.nan], [np.inf, 1, 1, -1]):
+        with pytest.raises(ValueError, match="Choi numerators must be integers"):
+            ChoiSpectrum(1, numerators)
+    with pytest.raises(ValueError, match=r"expected 4 numerators, got shape \(3,\)"):
+        ChoiSpectrum(1, [3, 1, 1])
+    spec = ChoiSpectrum(1, [3.0, 1.0, 1.0, -1.0])
+    assert spec.numerators.dtype == np.int64 and list(spec.numerators) == [3, 1, 1, -1]
 
 
 def test_choi_spectrum_value_counts_sorted():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcekit.maps import Subspace
 from pcekit.pauli import (
     MultiIndex,
     SIGN_TABLE,
     SINGLE_QUBIT_PAULIS,
     A_entry,
     a_entry,
+    check_qubits,
     commutes,
     klein_add,
     pauli_basis,
@@ -56,6 +58,17 @@ def test_invalid_encodings_rejected():
             MultiIndex.from_string(text)
     with pytest.raises(ValueError):
         MultiIndex.from_bit_string("101")  # odd length
+    with pytest.raises(ValueError, match="digit 4 not in 0..3"):
+        MultiIndex.from_digits((0, 4))
+
+
+def test_qubit_counts_must_be_integers():
+    with pytest.raises(ValueError, match="integer qubit count, got n=2.5"):
+        check_qubits(2.5)
+    with pytest.raises(ValueError, match="integer qubit count, got n=1.5"):
+        Subspace(1.5, ())
+    check_qubits(np.int64(2))
+    assert MultiIndex(np.int64(2), 15).digits == (3, 3)
 
 
 def test_klein_addition_is_bitwise_xor_and_self_inverse():
@@ -79,6 +92,9 @@ def test_a_entry_is_tensor_power_of_sign_table():
     for d in range(4):
         for e in range(4):
             assert a_entry(d, e) == SIGN_TABLE[d][e]
+    for digits in ((4, 0), (0, 4)):
+        with pytest.raises(ValueError, match="digits must be in 0..3"):
+            a_entry(*digits)
     for a in range(16):
         for b in range(16):
             ia, ib = MultiIndex(2, a), MultiIndex(2, b)
@@ -284,6 +300,23 @@ def test_sign_transform_beyond_the_float64_bound():
     assert np.array_equal(sign_transform(vec), expected)
     batch = np.stack([vec, -vec])
     assert np.array_equal(sign_transform(batch), batch @ _sign_matrix(1))
+
+
+def test_sign_transform_refuses_what_it_cannot_transform_exactly():
+    for vec in (np.ones(8), np.ones((2, 2)), np.array([]), np.array(1)):
+        with pytest.raises(ValueError, match=r"last axis of 4\*\*n entries"):
+            sign_transform(vec)
+    # A row's L1 norm of 2**63 can put an output out of int64 (here the sum at
+    # flat index 0); one less keeps every output, and every partial sum, exact.
+    for vec in ([2**62, 2**62, 0, 0], [-(2**63), 0, 0, 0], [[1, 0, 0, 0], [2**62] * 4]):
+        with pytest.raises(ValueError, match=r"L1 norm reaches 2\*\*63"):
+            sign_transform(np.array(vec))
+    with pytest.raises(ValueError, match="L1 norm"):
+        sign_transform(np.array([2**63, 0, 0, 0], dtype=np.uint64))
+    assert sign_transform(np.array([2**62, 0, 0, 0])).tolist() == [2**62] * 4
+    for vec in ([2**62 - 1, 2**62, 0, 0], [2**61 - 1, 2**61, -(2**61), 2**61]):
+        exact = _sign_matrix(1).astype(object) @ np.array(vec, dtype=object)
+        assert sign_transform(np.array(vec)).tolist() == exact.tolist()
 
 
 def test_pauli_string_dense_hand_values():
