@@ -108,7 +108,7 @@ class PceMap:
         """Trusted encoder, nothing checked: ``n`` passed `check_qubits` for the
         bitmask form and each index in the list or array ``flat`` is in range."""
         bits = np.zeros(4**n, dtype=np.uint8)
-        bits[flat] = 1
+        bits[np.asarray(flat, dtype=np.int64)] = 1
         return cls.from_bits(n, bits)
 
     @classmethod
@@ -146,7 +146,7 @@ def _index_code(idx: MultiIndex | int, n: int) -> int:
 
     Raises:
         DimensionMismatchError: if a `MultiIndex` has another qubit count.
-        ValueError: if an integer index is not one (see `_flat_index`).
+        ValueError: if any other index is not an integer in ``0 .. 4**n - 1``.
     """
     if not isinstance(idx, MultiIndex):
         return _flat_index(idx, n)
