@@ -336,7 +336,8 @@ def test_subspace_canonicalization_and_equality():
 
 def test_indices_entering_must_be_integers_in_range():
     # Each entry point checks an index once, where it enters: a float is
-    # refused, not truncated, and an index out of range is not a non-member.
+    # refused, not truncated, and an index out of range is refused, not read
+    # as a non-member.
     sub = Subspace.from_vectors(1, [1])
     for build, message in (
         (lambda: PceMap.from_preserved(1, [0, 2.7]), "flat index 2.7 is not an integer"),
