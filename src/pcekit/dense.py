@@ -216,11 +216,10 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
     built and diagonalized a chunk of masks at a time to bound memory.
 
     Raises:
-        ValueError: if a mask is outside ``0 .. 2**(4**n) - 1``.
+        ValueError: if a mask is not an integer in ``0 .. 2**(4**n) - 1``.
     """
     terms = _choi_block_terms(n).reshape(4**n, -1)
-    _check_tau(n, min(masks, default=0))
-    _check_tau(n, max(masks, default=0))
+    masks = [_check_tau(n, tau) for tau in masks]
     bits = _tau_bits(n, masks)
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))

@@ -30,6 +30,7 @@ for everything else.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,7 +79,8 @@ class PceMap:
 
     def __post_init__(self) -> None:
         check_qubits(self.n, TAU_QUBIT_LIMIT, "the bitmask form")
-        _check_tau(self.n, self.tau)
+        # Stored as the Python int the codec decodes (a numpy integer has no to_bytes).
+        object.__setattr__(self, "tau", _check_tau(self.n, self.tau))
 
     @classmethod
     def identity(cls, n: int) -> "PceMap":
@@ -155,9 +157,16 @@ def _index_code(idx: MultiIndex | int, n: int) -> int:
     return idx.code
 
 
-def _check_tau(n: int, tau: int) -> None:
+def _check_tau(n: int, tau) -> int:
+    """``tau`` as a bitmask on ``n`` qubits, else ValueError naming it: an
+    integer in ``0 .. 2**(4**n) - 1``."""
+    try:
+        tau = operator.index(tau)
+    except TypeError:
+        raise ValueError(f"tau bitmask {tau!r} is not an integer") from None
     if tau < 0 or tau >> 4**n:
         raise ValueError(f"tau bitmask out of range for n={n}")
+    return tau
 
 
 def _tau_bits(n: int, masks) -> np.ndarray:
@@ -234,10 +243,15 @@ class ChoiSpectrum:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.numerators)
-        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
-            arr = values.astype(np.int64, copy=False)
-        if values.dtype.kind not in "biu" and not np.array_equal(arr, values):
-            raise ValueError("Choi numerators must be integers")
+        try:
+            with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
+                arr = values.astype(np.int64, copy=False)
+        except OverflowError:  # Python ints beyond int64
+            arr = None
+        # A converted copy must keep every value: no fractions, nan, inf or
+        # uint64 values that wrap.
+        if arr is None or (arr is not values and not np.array_equal(arr, values)):
+            raise ValueError("Choi numerators must be integers in the int64 range")
         arr.setflags(write=False)
         object.__setattr__(self, "numerators", arr)
         if arr.shape != (4**self.n,):

@@ -120,6 +120,17 @@ def _flat_index(value, n: int) -> int:
     return code
 
 
+def _digit(value) -> int:
+    """``value`` as a single-qubit digit, else ValueError naming it."""
+    try:
+        digit = operator.index(value)
+    except TypeError:
+        raise ValueError(f"digit {value!r} is not an integer") from None
+    if not 0 <= digit <= 3:
+        raise ValueError(f"digit {digit!r} not in 0..3")
+    return digit
+
+
 def _low_mask(n: int) -> int:
     """Mask selecting the low (j) bit of every digit: bits 0, 2, 4, ..."""
     return (4**n - 1) // 3
@@ -157,9 +168,7 @@ class MultiIndex:
         """Build from per-qubit digits, qubit 1 first."""
         code = 0
         for pos, digit in enumerate(digits):
-            if digit not in (0, 1, 2, 3):
-                raise ValueError(f"digit {digit!r} not in 0..3")
-            code |= digit << (2 * pos)
+            code |= _digit(digit) << (2 * pos)
         return cls(len(digits), code)
 
     @classmethod
@@ -241,9 +250,10 @@ def klein_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 
 def a_entry(alpha: int, beta: int) -> int:
     """Single-qubit conjugation sign: -1 iff alpha, beta non-identity and distinct."""
-    if alpha not in (0, 1, 2, 3) or beta not in (0, 1, 2, 3):
-        raise ValueError("digits must be in 0..3")
-    return int(SIGN_TABLE[alpha, beta])
+    try:
+        return int(SIGN_TABLE[_digit(alpha), _digit(beta)])
+    except ValueError as exc:
+        raise ValueError(f"digits must be in 0..3: {exc}") from None
 
 
 def A_entry(a: MultiIndex, b: MultiIndex) -> int:

@@ -251,6 +251,13 @@ def test_choi_min_eigenvalues_rejects_masks_out_of_range():
     assert choi_min_eigenvalues(2, []).shape == (0,)
 
 
+def test_choi_min_eigenvalues_rejects_non_integer_masks():
+    # Every mask is checked, not just the batch's extremes.
+    for masks in ([1.5], [1, 1.5, 3]):
+        with pytest.raises(ValueError, match=r"tau bitmask 1\.5 is not an integer"):
+            choi_min_eigenvalues(1, masks)
+
+
 def test_partial_trace_hand_values():
     # Product state: tracing one factor leaves the other.
     rho_a = np.array([[0.75, 0.25j], [-0.25j, 0.25]])

@@ -81,6 +81,14 @@ def test_bitmask_capacity_limits():
         PceMap(1, -1)
 
 
+def test_pce_map_tau_must_be_an_integer():
+    with pytest.raises(ValueError, match=r"tau bitmask 1\.5 is not an integer"):
+        PceMap(1, 1.5)
+    # A numpy integer is taken as the Python int that the decoder needs.
+    pce = PceMap(1, np.int64(9))
+    assert type(pce.tau) is int and pce.tau_vector().tolist() == [1, 0, 0, 1]
+
+
 def test_identity_checks_n_before_building_the_mask():
     tracemalloc.start()
     try:
@@ -212,6 +220,14 @@ def test_choi_spectrum_numerators_are_integers_of_length_4_to_the_n():
         ChoiSpectrum(1, [3, 1, 1])
     spec = ChoiSpectrum(1, [3.0, 1.0, 1.0, -1.0])
     assert spec.numerators.dtype == np.int64 and list(spec.numerators) == [3, 1, 1, -1]
+
+
+def test_choi_spectrum_refuses_numerators_beyond_int64():
+    # Python ints past int64 overflowed in the conversion; uint64 ones wrapped.
+    big = ([2**70, 0, 0, 0], [-(2**70), 0, 0, 0], np.array([2**63, 0, 0, 0], np.uint64))
+    for numerators in big:
+        with pytest.raises(ValueError, match="must be integers in the int64 range"):
+            ChoiSpectrum(1, numerators)
 
 
 def test_choi_spectrum_value_counts_sorted():

@@ -62,6 +62,12 @@ def test_invalid_encodings_rejected():
         MultiIndex.from_digits((0, 4))
 
 
+def test_from_digits_refuses_a_non_integer_digit():
+    # 1.0 == 1, so a membership test in (0, 1, 2, 3) let it reach the shift.
+    with pytest.raises(ValueError, match=r"digit 1\.0 is not an integer"):
+        MultiIndex.from_digits([1.0])
+
+
 def test_qubit_counts_must_be_integers():
     with pytest.raises(ValueError, match="integer qubit count, got n=2.5"):
         check_qubits(2.5)
@@ -102,6 +108,11 @@ def test_a_entry_is_tensor_power_of_sign_table():
             for k in (1, 2):
                 expected *= a_entry(ia.digit(k), ib.digit(k))
             assert A_entry(ia, ib) == expected
+
+
+def test_a_entry_refuses_a_non_integer_digit():
+    with pytest.raises(ValueError, match=r"digit 1\.0 is not an integer"):
+        a_entry(1.0, 2)
 
 
 def test_sign_matrix_matches_dense_conjugation_two_qubits():
