@@ -697,6 +697,44 @@ def test_diagram_svg_and_nested_grid_match_golden_files(name, tmp_path, capsys):
     assert out == (GOLDEN_DIR / f"diagram_{name}.txt").read_text()
 
 
+def test_main_uses_the_parser_built_at_import(channel_file, capsys, monkeypatch):
+    # The parser is built once per process; a call that rebuilt it would raise.
+    def rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr("pcekit.cli.build_parser", rebuild)
+    code, out, _ = run_cli(["check", channel_file], capsys)
+    assert (code, "is_channel: yes" in out) == (0, True)
+
+
+def test_shared_parser_carries_no_state_between_calls(channel_file, capsys):
+    # Each call in one process matches a fresh process on the same argv, so a
+    # flag or a refused parse does not leak into the call after it.
+    sequence = [
+        ["--format", "json", "--seed", "5", "verify", "3", "--samples", "20"],
+        ["verify", "3", "--samples", "20"],
+        ["diagram", channel_file, "--format", "svg"],
+        ["diagram", channel_file],
+        ["--tol", "-1", "check", channel_file],
+        ["check", channel_file],
+    ]
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pcekit", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert code == 0
+
+
 def test_module_entry_point_subprocess(tmp_path):
     path = write_json(
         tmp_path, "ch.json", {"n": 1, "preserved": ["0", "3"]}
