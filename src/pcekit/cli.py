@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .dense import check_state_components, choi_min_eigenvalues, pauli_components
+from .dense import check_report, check_state_components, pauli_components, verify_report
 from .diagram import render_ascii, render_svg
 from .dynamics import (
     collide,
@@ -38,24 +38,8 @@ from .errors import (
     TracePreservationError,
 )
 from .generators import decompose, recompose_subspace
-from .maps import (
-    Subspace,
-    _closed_bases,
-    channel_spectrum,
-    choi_spectrum,
-    closure_witness,
-    load_channel_document,
-    map_to_subspace,
-    subspace_to_map,
-)
-from .pauli import (
-    CHOI_QUBIT_LIMIT,
-    DENSE_QUBIT_LIMIT,
-    N_MAX,
-    TAU_QUBIT_LIMIT,
-    check_qubits,
-    parse_qubit_count,
-)
+from .maps import Subspace, load_channel_document, map_to_subspace
+from .pauli import DENSE_QUBIT_LIMIT, N_MAX, check_qubits, parse_qubit_count
 
 
 def _fmt(x: float) -> str:
@@ -134,49 +118,7 @@ def _dump_matrix(matrix: np.ndarray) -> list:
 
 
 def cmd_check(args) -> int:
-    obj = load_channel_document(_read_json(args.channel))
-    report: dict = {"n": obj.n}
-    if isinstance(obj, Subspace):
-        report["is_pce"] = True
-        report["is_channel"] = True
-        report["K"] = obj.dim
-        report["popcount"] = 2**obj.dim
-        # The bitmask feeds only the dense oracle; the spectrum is closed-form.
-        pce = subspace_to_map(obj) if obj.n <= CHOI_QUBIT_LIMIT else None
-    else:
-        pce = obj
-        report["is_pce"] = pce.is_trace_preserving
-        witness = closure_witness(pce) if pce.is_trace_preserving else None
-        closed = pce.is_trace_preserving and witness is None
-        report["is_channel"] = closed
-        if closed:
-            report["K"] = pce.preserved_count.bit_length() - 1
-        report["popcount"] = pce.preserved_count
-        if witness is not None:
-            a, b, missing = witness
-            report["witness"] = {
-                "pair": [a.to_string(), b.to_string()],
-                "missing": missing.to_string(),
-            }
-    if obj.n <= TAU_QUBIT_LIMIT:
-        if report["is_channel"]:
-            counts = channel_spectrum(obj.n, report["K"])
-        else:
-            counts = choi_spectrum(pce).value_counts()
-        report["spectrum"] = {
-            "values": [{"value": str(v), "count": c} for v, c in counts],
-            "min": str(counts[0][0]),
-            "sum": str(sum(v * c for v, c in counts)),
-        }
-    if obj.n <= CHOI_QUBIT_LIMIT:
-        lambda_min = float(choi_min_eigenvalues(pce.n, [pce.tau])[0])
-        oracle_cp = lambda_min >= -args.tol
-        report["oracle"] = {
-            "lambda_min": lambda_min,
-            "cp": oracle_cp,
-            # Erasing tau_0 makes the Choi trace 0: CP only for the zero map.
-            "agrees": oracle_cp == (report["is_channel"] or pce.tau == 0),
-        }
+    report = check_report(load_channel_document(_read_json(args.channel)), args.tol)
     if args.format == "json":
         _emit_json(report)
     else:
@@ -344,18 +286,7 @@ def cmd_verify(args) -> int:
         draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
         masks = [int(d) | 1 for d in draws]
         mode = f"sampled (seed {args.seed})"
-    symbolic = np.array([rows is not None for rows in _closed_bases(args.n, masks)])
-    oracle = choi_min_eigenvalues(args.n, masks) >= -args.tol
-    disagreements = int((symbolic != oracle).sum())
-    result = {
-        "n": args.n,
-        "mode": mode,
-        "maps_checked": len(masks),
-        "cp_symbolic": int(symbolic.sum()),
-        "cp_oracle": int(oracle.sum()),
-        "disagreements": disagreements,
-        "verdict": "PASS" if disagreements == 0 else "FAIL",
-    }
+    result = {"n": args.n, "mode": mode, **verify_report(args.n, masks, args.tol)}
     if args.format == "json":
         _emit_json(result)
     else:
@@ -366,7 +297,7 @@ def cmd_verify(args) -> int:
         print(f"cp (oracle): {result['cp_oracle']}")
         print(f"disagreements: {result['disagreements']}")
         print(f"verdict: {result['verdict']}")
-    return 0 if disagreements == 0 else 1
+    return 0 if result["disagreements"] == 0 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,21 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatchError, InvalidStabilizerSetError
-from .maps import PceMap, _check_tau, _tau_bits
+from .maps import (
+    PceMap,
+    Subspace,
+    _check_tau,
+    _closed_bases,
+    _tau_bits,
+    channel_spectrum,
+    choi_spectrum,
+    closure_witness,
+    subspace_to_map,
+)
 from .pauli import (
     CHOI_QUBIT_LIMIT,
     DENSE_QUBIT_LIMIT,
+    TAU_QUBIT_LIMIT,
     MultiIndex,
     _PAULI_STACK,
     _kron_table,
@@ -54,6 +65,8 @@ __all__ = [
     "choi_basis_terms",
     "choi_dense",
     "choi_min_eigenvalues",
+    "check_report",
+    "verify_report",
     "choi_pauli_vector",
     "partial_trace",
     "qc_channel",
@@ -229,6 +242,75 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
         lowest = np.linalg.eigvalsh(blocks)[:, 0].reshape(len(tau), 2**n)
         out[start : start + len(tau)] = lowest.min(axis=1)
     return out
+
+
+def _oracle_verdicts(n: int, masks: list[int], symbolic_cp, tol: float):
+    """The one oracle rule: per mask, ``(lambda_min, cp, agrees)`` with
+    ``cp = lambda_min >= -tol``.  The oracle agrees with the symbolic verdict
+    iff ``cp == (symbolic_cp or tau == 0)``: erasing tau_0 makes the Choi
+    trace 0, so such a map is CP only when it is the zero map."""
+    lambda_min = choi_min_eigenvalues(n, masks)
+    cp = lambda_min >= -tol
+    zero = np.array([tau == 0 for tau in masks], dtype=bool)
+    return lambda_min, cp, cp == (np.asarray(symbolic_cp) | zero)
+
+
+def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
+    """The `check` verdict on a loaded channel document, JSON-ready (floats
+    unrounded): n, is_pce, is_channel, K (channels), popcount, witness
+    (trace-preserving non-channels), the exact spectrum (closed form for
+    channels) up to ``TAU_QUBIT_LIMIT`` and the oracle up to ``CHOI_QUBIT_LIMIT``."""
+    report: dict = {"n": obj.n}
+    if isinstance(obj, Subspace):
+        report.update(is_pce=True, is_channel=True, K=obj.dim, popcount=2**obj.dim)
+        # The bitmask feeds only the dense oracle; the spectrum is closed-form.
+        pce = subspace_to_map(obj) if obj.n <= CHOI_QUBIT_LIMIT else None
+    else:
+        pce = obj
+        report["is_pce"] = pce.is_trace_preserving
+        witness = closure_witness(pce) if pce.is_trace_preserving else None
+        report["is_channel"] = closed = pce.is_trace_preserving and witness is None
+        if closed:
+            report["K"] = pce.preserved_count.bit_length() - 1
+        report["popcount"] = pce.preserved_count
+        if witness is not None:
+            a, b, missing = witness
+            report["witness"] = {
+                "pair": [a.to_string(), b.to_string()],
+                "missing": missing.to_string(),
+            }
+    if obj.n <= TAU_QUBIT_LIMIT:
+        if report["is_channel"]:
+            counts = channel_spectrum(obj.n, report["K"])
+        else:
+            counts = choi_spectrum(pce).value_counts()
+        report["spectrum"] = {
+            "values": [{"value": str(v), "count": c} for v, c in counts],
+            "min": str(counts[0][0]),
+            "sum": str(sum(v * c for v, c in counts)),
+        }
+    if obj.n <= CHOI_QUBIT_LIMIT:
+        oracle = _oracle_verdicts(pce.n, [pce.tau], [report["is_channel"]], tol)
+        lambda_min, cp, agrees = (x.item() for x in oracle)
+        report["oracle"] = {"lambda_min": lambda_min, "cp": cp, "agrees": agrees}
+    return report
+
+
+def verify_report(n: int, masks, tol: float = 1e-9) -> dict:
+    """The symbolic CP verdict against the dense oracle on a batch of tau
+    bitmasks: one batched closure decision and one oracle call."""
+    check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
+    masks = [_check_tau(n, tau) for tau in masks]
+    symbolic = np.array([rows is not None for rows in _closed_bases(n, masks)], dtype=bool)
+    _, oracle, agrees = _oracle_verdicts(n, masks, symbolic, tol)
+    disagreements = len(masks) - int(agrees.sum())
+    return {
+        "maps_checked": len(masks),
+        "cp_symbolic": int(symbolic.sum()),
+        "cp_oracle": int(oracle.sum()),
+        "disagreements": disagreements,
+        "verdict": "PASS" if disagreements == 0 else "FAIL",
+    }
 
 
 def choi_pauli_vector(a: MultiIndex) -> np.ndarray:

@@ -166,7 +166,7 @@ def test_check_reports_channel_spectra_without_the_sign_transform(
     def refuse(pce):
         raise RuntimeError("choi_spectrum called")
 
-    monkeypatch.setattr("pcekit.cli.choi_spectrum", refuse)
+    monkeypatch.setattr("pcekit.dense.choi_spectrum", refuse)
     doc, _ = CHECK_GOLDEN_DOCUMENTS["basis_12"]
     path = write_json(tmp_path, "basis_12.json", doc)
     code, out, _ = run_cli(["--format", "json", "check", path], capsys)
@@ -546,7 +546,7 @@ def test_verify_sampled_three_qubits_json(capsys):
 
 
 def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
-    import pcekit.cli as cli
+    import pcekit.dense as dense
     import pcekit.maps as maps
 
     calls = {"batches": 0, "masks": 0, "maps": 0}
@@ -561,7 +561,7 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
         calls["maps"] += 1
         post_init(self)
 
-    monkeypatch.setattr(cli, "_closed_bases", counting_closed_bases)
+    monkeypatch.setattr(dense, "_closed_bases", counting_closed_bases)
     monkeypatch.setattr(maps.PceMap, "__post_init__", counting_post_init)
     for argv, count in ((["verify", "2"], 2**15), (["verify", "3", "--samples", "50"], 50)):
         calls.update(batches=0, masks=0, maps=0)
