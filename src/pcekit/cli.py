@@ -6,6 +6,13 @@ Exit codes: 0 success, 1 domain failure (non-channel input, verification
 mismatch), 2 usage or parse error.  All float output uses 12 significant
 digits, and every command is byte-deterministic given its arguments.
 
+The CLI parses arguments and documents and formats results.  The verdicts
+come from the library: `check`'s report from `dense.check_report` and
+`verify`'s counts from `dense.verify_report`, both judged by one oracle
+rule; `evolve`'s trajectory is one `evolve_components` call.  With
+the global ``--format json``, `evolve` writes its rows as JSON, and
+`diagram`, whose own ``--format ascii|svg`` chooses the picture, exits 2.
+
 The argparse parser is built once per process, at import (`_PARSER`); each
 `main` call only parses its arguments into a fresh namespace, so no call
 leaves state behind for the next.
@@ -189,6 +196,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    if args.format == "json":
+        raise ValueError(
+            "diagram has no JSON form; its own --format ascii|svg chooses the picture"
+        )
     obj = load_channel_document(_read_json(args.channel))
     render = render_svg if args.diagram_format == "svg" else render_ascii
     sys.stdout.write(render(obj))
@@ -222,27 +233,35 @@ def cmd_evolve(args) -> int:
         raise DimensionMismatchError(
             f"state has n={n} but process has n={proc.n}"
         )
-    # evolve_components checks each row's time too, but only after the header
-    # is printed; row i's time args.t * i / args.steps stays finite for every
-    # i <= args.steps iff args.t * args.steps does.
+    # Checked here, before any output, with messages that name the options;
+    # every time args.t * i / args.steps with i <= args.steps is then finite.
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
     if not 0 <= args.t < math.inf:
         raise ValueError("time must be a nonnegative finite number")
     if not args.t * args.steps < math.inf:
         raise ValueError(f"time * --steps must be finite, got {args.t!r} * {args.steps}")
+    times = args.t * np.arange(args.steps + 1) / args.steps
+    rows = evolve_components(proc, r0, times)
+    distance = float(np.abs(rows[-1] - fixed_point_components(proc, r0)).max())
+    if args.format == "json":
+        _emit_json(
+            {
+                "n": n,
+                "t": times.tolist(),
+                "r": rows.tolist(),
+                "max_abs_distance_to_fixed_point": distance,
+            }
+        )
+        return 0
     print("t,alpha,r")
-    final = r0
-    for i in range(args.steps + 1):
-        t = args.t * i / args.steps
-        final = evolve_components(proc, r0, t)
-        # One write per step, with t formatted once and the values inline in
-        # `_fmt`'s format: printing row by row cost more than the propagator.
+    for t, row in zip(times.tolist(), rows):
+        # One write per row, with t formatted once and the values inline in
+        # `_fmt`'s format: printing value by value cost more than the propagator.
         head = _fmt(t)
         sys.stdout.write(
-            "".join(f"{head},{a},{value:.12g}\n" for a, value in enumerate(final.tolist()))
+            "".join(f"{head},{a},{value:.12g}\n" for a, value in enumerate(row.tolist()))
         )
-    distance = float(np.abs(final - fixed_point_components(proc, r0)).max())
     print(f"# max_abs_distance_to_fixed_point = {_fmt(distance)}")
     return 0
 

@@ -48,6 +48,7 @@ from .pauli import (
     MultiIndex,
     _PAULI_STACK,
     _kron_table,
+    _qubit_position,
     _sp_parity,
     check_qubits,
     pauli_basis,
@@ -321,11 +322,12 @@ def choi_pauli_vector(a: MultiIndex) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Trace out all qubits not in ``keep`` (1-based indices)."""
+    """Trace out all qubits not in ``keep``, a nonempty set of integer qubit
+    positions in ``1..n``."""
     rho = np.asarray(rho, dtype=complex)
     n = _infer_n(rho.shape[0], "density matrix")
-    kept = sorted({int(k) - 1 for k in keep})
-    if not kept or kept[0] < 0 or kept[-1] >= n:
+    kept = sorted({_qubit_position(k, n) - 1 for k in keep})
+    if not kept:
         raise ValueError(f"keep must be a nonempty subset of 1..{n}")
     # Axis labels: row i is i, column i is i when traced out (summed), else n + i.
     col = [n + i if i in kept else i for i in range(n)]

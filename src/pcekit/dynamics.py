@@ -140,17 +140,22 @@ def lindbladian_apply(proc: DissipativeProcess, rho: np.ndarray) -> np.ndarray:
 
 
 def evolve_components(
-    proc: DissipativeProcess, r0: np.ndarray, t: float
+    proc: DissipativeProcess, r0: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
-    """Exact propagator in the Pauli basis: componentwise exponential decay."""
-    if not 0 <= t < math.inf:
+    """Exact propagator in the Pauli basis: componentwise exponential decay.
+
+    ``t`` is one time, or a 1-D array of times for one row per time (the
+    decay rates are computed once).
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not ((0 <= times) & (times < math.inf)).all():
         raise ValueError(f"time must be nonnegative and finite, got {t}")
     r0 = np.asarray(r0, dtype=float)
     if r0.size != 4**proc.n:
         raise DimensionMismatchError(
             f"state has {r0.size} components, process expects {4**proc.n}"
         )
-    return r0 * np.exp(-t * decay_rates(proc))
+    return r0 * np.exp(np.multiply.outer(-times, decay_rates(proc)))
 
 
 def evolve(proc: DissipativeProcess, rho0: np.ndarray, t: float) -> np.ndarray:

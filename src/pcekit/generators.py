@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import gf2
 from .errors import DimensionMismatchError
 from .maps import PceMap, Subspace, map_to_subspace, subspace_to_map
-from .pauli import MultiIndex, _sp_parity, _swap_pairs, symplectic_product_row
+from .pauli import MultiIndex, _qubit_position, _sp_parity, _swap_pairs, symplectic_product_row
 
 __all__ = [
     "generator_map",
@@ -109,7 +109,5 @@ def reflection_parity(label: MultiIndex, k: int) -> int:
     complements every entry.  Equivalent to whether the reflection's base
     index (digit 3 at qubit k) is itself a preserved component.
     """
-    if not 1 <= k <= label.n:
-        raise ValueError(f"qubit index {k} out of range 1..{label.n}")
-    base = 3 << (2 * (k - 1))
+    base = 3 << (2 * (_qubit_position(k, label.n) - 1))
     return -1 if _sp_parity(label.code, base, label.n) else 1

@@ -44,6 +44,7 @@ from .pauli import (
     _base4_code,
     _check_same_n,
     _flat_index,
+    _qubit_position,
     check_qubits,
     parse_qubit_count,
     sign_transform,
@@ -493,9 +494,7 @@ def reflect(pce: PceMap, k: int) -> PceMap:
     An involution on bitmasks; it permutes flat indices by XOR with the digit
     value 3 placed at qubit ``k``.
     """
-    if not 1 <= k <= pce.n:
-        raise ValueError(f"qubit index {k} out of range 1..{pce.n}")
-    flip = 3 << (2 * (k - 1))
+    flip = 3 << (2 * (_qubit_position(k, pce.n) - 1))
     return PceMap._from_flat(pce.n, np.flatnonzero(pce.tau_vector().view(bool)) ^ flip)
 
 

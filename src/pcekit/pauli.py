@@ -120,6 +120,18 @@ def _flat_index(value, n: int) -> int:
     return code
 
 
+def _qubit_position(k, n: int) -> int:
+    """``k`` as a 1-based qubit position on ``n`` qubits, else ValueError
+    naming it: the one range rule for a qubit position."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"qubit index {k!r} is not an integer") from None
+    if not 1 <= k <= n:
+        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    return k
+
+
 def _digit(value) -> int:
     """``value`` as a single-qubit digit, else ValueError naming it."""
     try:
@@ -192,9 +204,7 @@ class MultiIndex:
 
     def digit(self, k: int) -> int:
         """Digit acting on qubit ``k`` (1-based)."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"qubit index {k} out of range 1..{self.n}")
-        return (self.code >> (2 * (k - 1))) & 3
+        return (self.code >> (2 * (_qubit_position(k, self.n) - 1))) & 3
 
     @property
     def j_bits(self) -> int:

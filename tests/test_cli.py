@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from pcekit.cli import main
+from pcekit.cli import _round12, main
+from pcekit.dense import check_report
 from pcekit.maps import choi_spectrum, load_channel_document
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -144,6 +145,15 @@ def test_check_matches_golden_files(name, fmt, tmp_path, capsys):
     assert out == (GOLDEN_DIR / f"check_{name}_{fmt}.txt").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(CHECK_GOLDEN_DOCUMENTS))
+def test_check_report_is_the_json_golden_before_rounding(name):
+    doc, _ = CHECK_GOLDEN_DOCUMENTS[name]
+    report = _round12(check_report(load_channel_document(doc)))
+    golden = json.loads((GOLDEN_DIR / f"check_{name}_json.txt").read_text())
+    assert report == golden
+    assert list(report) == list(golden)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_check_zero_map_oracle_agrees(n, tmp_path, capsys):
     # The zero map erases tau_0, so it is not a channel, but its Choi matrix
@@ -275,6 +285,14 @@ def test_diagram_svg(channel_file, capsys):
     assert out.count("<rect") == 16
 
 
+def test_diagram_refuses_the_global_json_format(channel_file, capsys):
+    for argv in (["diagram", channel_file], ["diagram", channel_file, "--format", "svg"]):
+        code, out, err = run_cli(["--format", "json", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert "its own --format ascii|svg" in err
+
+
 def test_diagram_large_n_is_usage_error(tmp_path, capsys):
     docs = [
         {"n": 4, "preserved": ["0000"]},
@@ -332,6 +350,28 @@ def test_evolve_trajectory(tmp_path, capsys):
     z_values = {l.split(",")[2] for l in data_lines if l.split(",")[1] == "3"}
     assert z_values == {"0.6"}
     assert lines[-1].startswith("# max_abs_distance_to_fixed_point = ")
+
+
+def test_evolve_json_holds_the_csv_rows(tmp_path, capsys):
+    proc = write_json(
+        tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
+    )
+    state = write_json(
+        tmp_path, "state.json", {"n": 1, "components": [1.0, 0.8, 0.0, 0.6]}
+    )
+    argv = [proc, state, "2.0", "--steps", "4"]
+    code, csv, _ = run_cli(["evolve", *argv], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["--format", "json", "evolve", *argv], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["n", "t", "r", "max_abs_distance_to_fixed_point"]
+    assert doc["n"] == 1 and doc["t"] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    lines = csv.splitlines()
+    assert [f"{t:.12g},{a},{v:.12g}" for t, row in zip(doc["t"], doc["r"])
+            for a, v in enumerate(row)] == lines[1:-1]
+    distance = doc["max_abs_distance_to_fixed_point"]
+    assert lines[-1] == f"# max_abs_distance_to_fixed_point = {distance:.12g}"
 
 
 def test_evolve_zero_time_echoes_initial_state(tmp_path, capsys):

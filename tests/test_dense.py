@@ -10,6 +10,7 @@ from pcekit.dense import (
     _choi_block_terms,
     apply_generator_kraus,
     apply_pce,
+    check_report,
     choi_basis_terms,
     choi_dense,
     choi_min_eigenvalues,
@@ -23,6 +24,7 @@ from pcekit.dense import (
     purity_from_components,
     qc_channel,
     qc_project,
+    verify_report,
 )
 from pcekit.enumeration import enumerate_subspaces
 from pcekit.errors import DimensionMismatchError, InvalidStabilizerSetError
@@ -258,6 +260,37 @@ def test_choi_min_eigenvalues_rejects_non_integer_masks():
             choi_min_eigenvalues(1, masks)
 
 
+def test_verify_report_and_check_report_share_one_oracle_rule():
+    # Every n = 1 mask: the zero map, masks that erase tau_0 (such as 0b10),
+    # the five channels and the three trace-preserving near-channels.
+    masks = range(16)
+    report = verify_report(1, masks)
+    assert report == {
+        "maps_checked": 16,
+        "cp_symbolic": 5,
+        # The zero map's Choi matrix is 0: CP, and in agreement.
+        "cp_oracle": 6,
+        "disagreements": 0,
+        "verdict": "PASS",
+    }
+    for tol in (1e-9, 0.6):
+        oracles = [check_report(PceMap(1, m), tol)["oracle"] for m in masks]
+        if tol < 0.5:
+            assert all(oracle["agrees"] for oracle in oracles)
+        report = verify_report(1, masks, tol)
+        assert report["cp_oracle"] == sum(oracle["cp"] for oracle in oracles)
+        assert report["disagreements"] == sum(not oracle["agrees"] for oracle in oracles)
+    # At tol 0.6 the oracle calls the lambda_min = -1/2 maps CP.
+    assert report["verdict"] == "FAIL"
+
+
+def test_verify_report_refuses_a_mask_that_is_not_a_bitmask():
+    with pytest.raises(ValueError, match=r"tau bitmask 1\.5 is not an integer"):
+        verify_report(1, [1, 1.5])
+    with pytest.raises(ValueError, match="out of range for n=1"):
+        verify_report(1, [1 << 16])
+
+
 def test_partial_trace_hand_values():
     # Product state: tracing one factor leaves the other.
     rho_a = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
@@ -280,8 +313,12 @@ def test_partial_trace_keeps_qubit_order():
     assert np.abs(kept - np.kron(states[0], states[2])).max() < 1e-12
     with pytest.raises(ValueError):
         partial_trace(triple, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit index 4 out of range 1..3"):
         partial_trace(triple, [4])
+    # A position is an integer: 1.5 is not qubit 1, and "1" is not qubit 1.
+    for bad in (1.5, "1"):
+        with pytest.raises(ValueError, match=f"qubit index {bad!r} is not an integer"):
+            partial_trace(triple, [bad])
 
 
 def _maximal_commuting_sets(n: int) -> list[list[MultiIndex]]:

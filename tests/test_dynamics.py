@@ -110,6 +110,26 @@ def test_semigroup_law_composition_in_time():
         assert np.abs(stepwise - direct).max() < 1e-12
 
 
+def test_evolve_components_takes_an_array_of_times(monkeypatch):
+    import pcekit.dynamics as dynamics
+
+    proc = DissipativeProcess.from_terms([("13", 0.8), ("22", 0.4), ("30", 1.3)])
+    r0 = pauli_components(_random_state(2, 7))
+    times = 3.7 * np.arange(8) / 7
+    calls = []
+    rates = dynamics.decay_rates
+    monkeypatch.setattr(dynamics, "decay_rates", lambda p: calls.append(p) or rates(p))
+    rows = evolve_components(proc, r0, times)
+    assert len(calls) == 1
+    # Row i is bit for bit the one-time call at times[i].
+    assert rows.shape == (8, 16)
+    for t, row in zip(times.tolist(), rows):
+        assert np.array_equal(row, evolve_components(proc, r0, t))
+    for bad in ([0.0, -0.1], [0.0, float("nan")], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+            evolve_components(proc, r0, np.array(bad))
+
+
 def test_single_term_evolution_matches_semigroup_apply():
     proc = DissipativeProcess.from_terms([("31", 0.6)])
     rho = _random_state(2, 11)

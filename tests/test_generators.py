@@ -156,8 +156,10 @@ def test_local_action_reads_the_digit():
     assert local_action(label, 1) == 1
     assert local_action(label, 2) == 3
     assert local_action(label, 3) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit index 4 out of range 1..3"):
         local_action(label, 4)
+    with pytest.raises(ValueError, match=r"qubit index 1\.0 is not an integer"):
+        local_action(label, 1.0)
 
 
 def test_local_action_matches_dense_partial_trace():
@@ -190,6 +192,8 @@ def test_reflection_parity_hand_values():
     for k in (0, 2):
         with pytest.raises(ValueError, match=f"qubit index {k} out of range 1..1"):
             reflection_parity(MultiIndex(1, 2), k)
+    with pytest.raises(ValueError, match=r"qubit index 2\.0 is not an integer"):
+        reflection_parity(MultiIndex(2, 5), 2.0)
 
 
 def test_generators_reflect_symmetrically_or_antisymmetrically():

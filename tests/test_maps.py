@@ -427,8 +427,10 @@ def test_reflect_is_an_involution_that_preserves_channels():
     ch = PceMap.from_preserved(2, [0, 3, 12, 15])
     for k in (1, 2):
         assert is_closed_subspace(reflect(ch, k))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit index 3 out of range 1..2"):
         reflect(ch, 3)
+    with pytest.raises(ValueError, match=r"qubit index 1\.0 is not an integer"):
+        reflect(PceMap(2, 0b1011), 1.0)
 
 
 def test_reflect_hand_value():

@@ -39,6 +39,16 @@ def test_multiindex_digit_order_is_qubit_one_first():
     assert m.code == 1 + 2 * 4 + 3 * 16
 
 
+def test_digit_refuses_a_qubit_position_that_is_not_an_integer_in_range():
+    m = MultiIndex(2, 5)
+    assert m.digit(np.int64(2)) == 1
+    with pytest.raises(ValueError, match=r"qubit index 1\.0 is not an integer"):
+        m.digit(1.0)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"qubit index {k} out of range 1..2"):
+            m.digit(k)
+
+
 def test_bit_string_layout_groups_low_bits_then_high_bits():
     # digit = j + 2k; the bit string lists j_1..j_n then k_1..k_n.
     m = MultiIndex.from_digits((1, 2))  # j = (1, 0), k = (0, 1)
