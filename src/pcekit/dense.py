@@ -17,6 +17,10 @@ Choi terms, from which the blocks are gathered entry for entry, and
 process's first n = 3 oracle call builds the full table before gathering its
 blocks.
 
+`check_report` and `verify_report` are the CLI's ``check`` and ``verify``
+verdicts: the symbolic answers from `maps` set against this oracle by one
+rule, `_oracle_verdicts`.
+
 Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
 ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
 dimensional).
