@@ -242,9 +242,12 @@ def cmd_evolve(args) -> int:
     if not args.t * args.steps < math.inf:
         raise ValueError(f"time * --steps must be finite, got {args.t!r} * {args.steps}")
     # The trajectory is computed whole, so its size is bounded like --samples.
-    if (args.steps + 1) * 4**n > DEFAULT_ENUMERATION_LIMIT:
-        most = DEFAULT_ENUMERATION_LIMIT // 4**n - 1
-        raise ValueError(f"--steps must be at most {most} at n={n}")
+    values = (args.steps + 1) * 4**n
+    if values > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"--steps {args.steps} at n={n} makes {values} values; "
+            f"evolve computes at most {DEFAULT_ENUMERATION_LIMIT} at once"
+        )
     times = args.t * np.arange(args.steps + 1) / args.steps
     rows = evolve_components(proc, r0, times)
     distance = float(np.abs(rows[-1] - fixed_point_components(proc, r0)).max())

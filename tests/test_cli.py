@@ -409,8 +409,8 @@ def test_evolve_refuses_an_overflowing_time_before_the_header(tmp_path, capsys):
         # --steps is checked first, so it keeps its own message.
         ("-1.0", "-1", "--steps must be at least 1"),
         # The whole trajectory is held at once: (steps + 1) * 4**n <= 10**7.
-        ("1.0", "2500000", "--steps must be at most 2499999 at n=1"),
-        ("1.0", "1000000000000", "--steps must be at most 2499999 at n=1"),
+        ("1.0", "2500000", "--steps 2500000 at n=1 makes 10000004 values"),
+        ("1.0", "1000000000000", "evolve computes at most 10000000 at once"),
     ):
         code, out, err = run_cli(["evolve", proc, state, t, "--steps", steps], capsys)
         assert (code, out) == (2, ""), (t, steps)
