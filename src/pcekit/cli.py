@@ -9,9 +9,10 @@ digits, and every command is byte-deterministic given its arguments.
 The CLI parses arguments and documents and formats results.  The verdicts
 come from the library: `check`'s report from `dense.check_report` and
 `verify`'s counts from `dense.verify_report`, both judged by one oracle
-rule; `evolve`'s trajectory is one `evolve_components` call.  With
-the global ``--format json``, `evolve` writes its rows as JSON, and
-`diagram`, whose own ``--format ascii|svg`` chooses the picture, exits 2.
+rule.  `evolve` computes its rows with one `evolve_components` call per
+slice of at most ``DEFAULT_ENUMERATION_LIMIT`` values and streams them as
+CSV; with the global ``--format json`` it writes them as one JSON document,
+and `diagram`, whose own ``--format ascii|svg`` chooses the picture, exits 2.
 
 The argparse parser is built once per process, at import (`_PARSER`); each
 `main` call only parses its arguments into a fresh namespace, so no call
@@ -241,34 +242,43 @@ def cmd_evolve(args) -> int:
         raise ValueError("time must be a nonnegative finite number")
     if not args.t * args.steps < math.inf:
         raise ValueError(f"time * --steps must be finite, got {args.t!r} * {args.steps}")
-    # The trajectory is computed whole, so its size is bounded like --samples.
-    values = (args.steps + 1) * 4**n
-    if values > DEFAULT_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"--steps {args.steps} at n={n} makes {values} values; "
-            f"evolve computes at most {DEFAULT_ENUMERATION_LIMIT} at once"
-        )
-    times = args.t * np.arange(args.steps + 1) / args.steps
-    rows = evolve_components(proc, r0, times)
-    distance = float(np.abs(rows[-1] - fixed_point_components(proc, r0)).max())
+    fixed = fixed_point_components(proc, r0)
     if args.format == "json":
+        # The document holds the whole trajectory, so its size is bounded
+        # like --samples.
+        values = (args.steps + 1) * 4**n
+        if values > DEFAULT_ENUMERATION_LIMIT:
+            raise ValueError(
+                f"--steps {args.steps} at n={n} makes {values} values; "
+                f"evolve's JSON holds at most {DEFAULT_ENUMERATION_LIMIT}"
+            )
+        times = args.t * np.arange(args.steps + 1) / args.steps
+        rows = evolve_components(proc, r0, times)
         _emit_json(
             {
                 "n": n,
                 "t": times.tolist(),
                 "r": rows.tolist(),
-                "max_abs_distance_to_fixed_point": distance,
+                "max_abs_distance_to_fixed_point": float(np.abs(rows[-1] - fixed).max()),
             }
         )
         return 0
     print("t,alpha,r")
-    for t, row in zip(times.tolist(), rows):
-        # One write per row, with t formatted once and the values inline in
-        # `_fmt`'s format: printing value by value cost more than the propagator.
-        head = _fmt(t)
-        sys.stdout.write(
-            "".join(f"{head},{a},{value:.12g}\n" for a, value in enumerate(row.tolist()))
-        )
+    # The text rows stream: one evolve_components call per slice of at most
+    # DEFAULT_ENUMERATION_LIMIT values (one row per slice past n = 11).
+    per_call = max(1, DEFAULT_ENUMERATION_LIMIT // 4**n)
+    for start in range(0, args.steps + 1, per_call):
+        stop = min(start + per_call, args.steps + 1)
+        times = args.t * np.arange(start, stop) / args.steps
+        rows = evolve_components(proc, r0, times)
+        for t, row in zip(times.tolist(), rows):
+            # One write per row, with t formatted once and the values inline in
+            # `_fmt`'s format: printing value by value cost more than the propagator.
+            head = _fmt(t)
+            sys.stdout.write(
+                "".join(f"{head},{a},{value:.12g}\n" for a, value in enumerate(row.tolist()))
+            )
+    distance = float(np.abs(rows[-1] - fixed).max())
     print(f"# max_abs_distance_to_fixed_point = {_fmt(distance)}")
     return 0
 

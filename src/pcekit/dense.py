@@ -236,8 +236,13 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
     Raises:
         ValueError: if a mask is not an integer in ``0 .. 2**(4**n) - 1``.
     """
+    check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
+    return _choi_min_eigenvalues(n, [_check_tau(n, tau) for tau in masks])
+
+
+def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
+    """`choi_min_eigenvalues` on checked masks and n."""
     terms = _choi_block_terms(n).reshape(4**n, -1)
-    masks = [_check_tau(n, tau) for tau in masks]
     bits = _tau_bits(n, masks)
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))
@@ -253,10 +258,11 @@ def _oracle_verdicts(n: int, masks: list[int], symbolic_cp, tol: float):
     """The one oracle rule: per mask, ``(lambda_min, cp, agrees)`` with
     ``cp = lambda_min >= -tol``.  The oracle agrees with the symbolic verdict
     iff ``cp == (symbolic_cp or tau == 0)``: erasing tau_0 makes the Choi
-    trace 0, so such a map is CP only when it is the zero map."""
-    lambda_min = choi_min_eigenvalues(n, masks)
+    trace 0, so such a map is CP only when it is the zero map.  The callers
+    have checked n and the masks."""
+    lambda_min = _choi_min_eigenvalues(n, masks)
     cp = lambda_min >= -tol
-    zero = np.array([tau == 0 for tau in masks], dtype=bool)
+    zero = np.fromiter((tau == 0 for tau in masks), dtype=bool, count=len(masks))
     return lambda_min, cp, cp == (np.asarray(symbolic_cp) | zero)
 
 

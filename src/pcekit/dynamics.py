@@ -147,9 +147,15 @@ def evolve_components(
     ``t`` is one time, or a 1-D array of times for one row per time (the
     decay rates are computed once).
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not ((0 <= times) & (times < math.inf)).all():
-        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    times = np.asarray(t)
+    if times.dtype.kind not in "iuf" or times.ndim > 1:
+        raise ValueError(
+            f"time must be a number or a 1-D array of numbers, got {times.ndim}-D {times.dtype}"
+        )
+    bad = ~((0 <= times) & (times < math.inf))
+    if bad.any():
+        raise ValueError(f"time must be nonnegative and finite, got {times[bad].flat[0]}")
+    times = times.astype(float)
     r0 = np.asarray(r0, dtype=float)
     if r0.size != 4**proc.n:
         raise DimensionMismatchError(

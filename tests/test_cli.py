@@ -374,6 +374,33 @@ def test_evolve_json_holds_the_csv_rows(tmp_path, capsys):
     assert lines[-1] == f"# max_abs_distance_to_fixed_point = {distance:.12g}"
 
 
+def test_evolve_streams_its_text_rows_in_slices(tmp_path, capsys, monkeypatch):
+    # The size bound scaled down from 10**7 values: text keeps streaming, one
+    # evolve_components call per slice, and only the JSON document is refused.
+    import pcekit.cli as cli
+
+    proc = write_json(
+        tmp_path, "proc.json", {"n": 2, "terms": [{"alpha": "13", "gamma": 0.7}]}
+    )
+    state = write_json(
+        tmp_path, "state.json", {"n": 2, "components": [1.0] + [0.25] * 15}
+    )
+    argv = ["evolve", proc, state, "3.0", "--steps", "7"]
+    code, whole, _ = run_cli(argv, capsys)
+    assert code == 0 and len(whole.splitlines()) == 2 + 8 * 16
+    calls = []
+    evolve = cli.evolve_components
+    monkeypatch.setattr(cli, "evolve_components", lambda *a: calls.append(a) or evolve(*a))
+    for limit, rows_per_call in ((40, 2), (10, 1)):
+        monkeypatch.setattr(cli, "DEFAULT_ENUMERATION_LIMIT", limit)
+        calls.clear()
+        assert run_cli(argv, capsys)[:2] == (0, whole)
+        assert [len(a[2]) for a in calls] == [rows_per_call] * (8 // rows_per_call)
+        code, out, err = run_cli(["--format", "json", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert f"--steps 7 at n=2 makes 128 values; evolve's JSON holds at most {limit}" in err
+
+
 def test_evolve_zero_time_echoes_initial_state(tmp_path, capsys):
     proc = write_json(
         tmp_path, "proc.json", {"n": 1, "terms": [{"alpha": "1", "gamma": 2.0}]}
@@ -408,9 +435,6 @@ def test_evolve_refuses_an_overflowing_time_before_the_header(tmp_path, capsys):
         ("1e308", "2", "time * --steps must be finite"),
         # --steps is checked first, so it keeps its own message.
         ("-1.0", "-1", "--steps must be at least 1"),
-        # The whole trajectory is held at once: (steps + 1) * 4**n <= 10**7.
-        ("1.0", "2500000", "--steps 2500000 at n=1 makes 10000004 values"),
-        ("1.0", "1000000000000", "evolve computes at most 10000000 at once"),
     ):
         code, out, err = run_cli(["evolve", proc, state, t, "--steps", steps], capsys)
         assert (code, out) == (2, ""), (t, steps)
@@ -592,8 +616,9 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
     import pcekit.dense as dense
     import pcekit.maps as maps
 
-    calls = {"batches": 0, "masks": 0, "maps": 0}
+    calls = {"batches": 0, "masks": 0, "maps": 0, "checks": 0}
     closed_bases, post_init = maps._closed_bases, maps.PceMap.__post_init__
+    check_tau = maps._check_tau
 
     def counting_closed_bases(n, masks):
         calls["batches"] += 1
@@ -604,14 +629,20 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
         calls["maps"] += 1
         post_init(self)
 
+    def counting_check_tau(n, tau):
+        calls["checks"] += 1
+        return check_tau(n, tau)
+
     monkeypatch.setattr(dense, "_closed_bases", counting_closed_bases)
     monkeypatch.setattr(maps.PceMap, "__post_init__", counting_post_init)
+    monkeypatch.setattr(dense, "_check_tau", counting_check_tau)
     for argv, count in ((["verify", "2"], 2**15), (["verify", "3", "--samples", "50"], 50)):
-        calls.update(batches=0, masks=0, maps=0)
+        calls.update(batches=0, masks=0, maps=0, checks=0)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert f"maps checked: {count}" in out
-        assert calls == {"batches": 1, "masks": count, "maps": 0}
+        # Each mask is checked once, where it enters the library.
+        assert calls == {"batches": 1, "masks": count, "maps": 0, "checks": count}
 
 
 def test_verify_mode_restrictions(capsys):

@@ -125,9 +125,14 @@ def test_evolve_components_takes_an_array_of_times(monkeypatch):
     assert rows.shape == (8, 16)
     for t, row in zip(times.tolist(), rows):
         assert np.array_equal(row, evolve_components(proc, r0, t))
-    for bad in ([0.0, -0.1], [0.0, float("nan")], [[0.0, 1.0]]):
-        with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+    for bad, shown in (([0.0, -0.1], "-0.1"), ([0.0, float("nan"), -1.0], "nan")):
+        # Only the first bad time is named.
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {shown}$"):
             evolve_components(proc, r0, np.array(bad))
+    # A time is a number: not a string, a bool or a 2-D array.
+    for bad in ("1.0", True, np.array([[0.0, 1.0]])):
+        with pytest.raises(ValueError, match="time must be a number or a 1-D array"):
+            evolve_components(proc, r0, bad)
 
 
 def test_single_term_evolution_matches_semigroup_apply():
