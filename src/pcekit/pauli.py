@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * Each digit splits into two bits via ``alpha = j + 2*k``: the low bit ``j``
   and the high bit ``k``.  The binary view of a multi-index is the length-2n
   bit vector ``(j_1..j_n, k_1..k_n)``; converting quaternary -> binary ->
-  quaternary is the identity.
+  quaternary is the identity.  Read in base 4, a 0/1 string puts bit q at
+  bit 2q, so each reversed half of a bit string, read in base 4, is its bits'
+  part of the packed code: the j half as is, the k half shifted left once.
 * Componentwise addition of multi-indices (each digit added in the Klein
   four-group) is XOR of packed codes.
 * ``sign(alpha, beta)`` is the +-1 sign picked up when conjugating one Pauli
@@ -143,6 +145,11 @@ def _digit(value) -> int:
     return digit
 
 
+# Each digit's j bit and k bit (digit = j + 2k), for str.translate.
+_J_BIT = str.maketrans("0123", "0101")
+_K_BIT = str.maketrans("0123", "0011")
+
+
 def _low_mask(n: int) -> int:
     """Mask selecting the low (j) bit of every digit: bits 0, 2, 4, ..."""
     return (4**n - 1) // 3
@@ -191,11 +198,10 @@ class MultiIndex:
     @classmethod
     def from_bit_string(cls, text: str) -> "MultiIndex":
         """Parse a length-2n bit string in the (j_1..j_n k_1..k_n) layout."""
-        if not text or len(text) % 2 or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or len(text) % 2 or text.strip("01"):
             raise ValueError(f"not a length-2n bit string: {text!r}")
         n = len(text) // 2
-        digits = [int(text[pos]) + 2 * int(text[n + pos]) for pos in range(n)]
-        return cls.from_digits(digits)
+        return cls(n, int(text[:n][::-1], 4) | int(text[n:][::-1], 4) << 1)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -209,12 +215,12 @@ class MultiIndex:
     @property
     def j_bits(self) -> int:
         """Low bits (j_1..j_n) packed into an n-bit integer, qubit 1 at bit 0."""
-        return _gather_even_bits(self.code, self.n)
+        return int(self.to_string().translate(_J_BIT)[::-1], 2)
 
     @property
     def k_bits(self) -> int:
         """High bits (k_1..k_n) packed into an n-bit integer, qubit 1 at bit 0."""
-        return _gather_even_bits(self.code >> 1, self.n)
+        return int(self.to_string().translate(_K_BIT)[::-1], 2)
 
     def to_string(self) -> str:
         """Base-4 digit string, qubit 1 first."""
@@ -222,11 +228,8 @@ class MultiIndex:
 
     def to_bit_string(self) -> str:
         """Length-2n bit string in the (j_1..j_n k_1..k_n) layout."""
-        j = self.j_bits
-        k = self.k_bits
-        js = "".join(str((j >> pos) & 1) for pos in range(self.n))
-        ks = "".join(str((k >> pos) & 1) for pos in range(self.n))
-        return js + ks
+        digits = self.to_string()
+        return digits.translate(_J_BIT) + digits.translate(_K_BIT)
 
     @property
     def weight(self) -> int:
@@ -238,13 +241,6 @@ class MultiIndex:
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-def _gather_even_bits(code: int, n: int) -> int:
-    out = 0
-    for pos in range(n):
-        out |= ((code >> (2 * pos)) & 1) << pos
-    return out
 
 
 def _check_same_n(a, b) -> None:

@@ -56,6 +56,45 @@ def test_bit_string_layout_groups_low_bits_then_high_bits():
     assert m.j_bits == 0b01 and m.k_bits == 0b10
 
 
+def _reference_gather_even_bits(code: int, n: int) -> int:
+    """Bits 0, 2, .., 2n - 2 of ``code`` packed into bits 0..n-1, one at a time."""
+    out = 0
+    for pos in range(n):
+        out |= ((code >> (2 * pos)) & 1) << pos
+    return out
+
+
+def _reference_to_bit_string(m: MultiIndex) -> str:
+    """The (j_1..j_n k_1..k_n) bit string, gathered and joined bit by bit."""
+    j = _reference_gather_even_bits(m.code, m.n)
+    k = _reference_gather_even_bits(m.code >> 1, m.n)
+    js = "".join(str((j >> pos) & 1) for pos in range(m.n))
+    ks = "".join(str((k >> pos) & 1) for pos in range(m.n))
+    return js + ks
+
+
+def _reference_from_bit_string(text: str) -> MultiIndex:
+    """A checked bit string rebuilt digit by digit through `from_digits`."""
+    n = len(text) // 2
+    return MultiIndex.from_digits([int(text[pos]) + 2 * int(text[n + pos]) for pos in range(n)])
+
+
+@st.composite
+def multi_indices(draw):
+    n = draw(st.integers(1, 16))
+    return MultiIndex(n, draw(st.integers(0, 4**n - 1)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(multi_indices())
+def test_bit_string_codec_equals_the_per_digit_reference(m):
+    text = m.to_bit_string()
+    assert text == _reference_to_bit_string(m)
+    assert m.j_bits == _reference_gather_even_bits(m.code, m.n)
+    assert m.k_bits == _reference_gather_even_bits(m.code >> 1, m.n)
+    assert MultiIndex.from_bit_string(text) == m == _reference_from_bit_string(text)
+
+
 def test_invalid_encodings_rejected():
     with pytest.raises(ValueError):
         MultiIndex(1, 4)
@@ -66,10 +105,18 @@ def test_invalid_encodings_rejected():
     for text in ("14", "", "+1", " 1", "1_0", "\u0661"):
         with pytest.raises(ValueError):
             MultiIndex.from_string(text)
-    with pytest.raises(ValueError):
-        MultiIndex.from_bit_string("101")  # odd length
+    for text in ("", "101", "0120", "+1", " 01 ", "0_11", "\u0661\u0660"):
+        with pytest.raises(ValueError, match="not a length-2n bit string"):
+            MultiIndex.from_bit_string(text)
     with pytest.raises(ValueError, match="digit 4 not in 0..3"):
         MultiIndex.from_digits((0, 4))
+
+
+def test_from_bit_string_refuses_a_list_of_bits():
+    # Every element of ["0", "1"] is in "01", so a per-character check read it
+    # as MultiIndex(1, 2).
+    with pytest.raises(ValueError, match=r"not a length-2n bit string: \['0', '1'\]"):
+        MultiIndex.from_bit_string(["0", "1"])
 
 
 def test_from_digits_refuses_a_non_integer_digit():
