@@ -105,7 +105,7 @@ def _base4_code(text: str) -> int:
     """Packed code of a base-4 digit string, qubit 1 first ('32' -> 3 + 2*4)."""
     # strip() leaves a remainder iff some character is not a digit 0..3, which
     # also keeps signs, spaces and underscores away from int().
-    if not text or text.strip("0123"):
+    if not isinstance(text, str) or not text or text.strip("0123"):
         raise ValueError(f"not a base-4 digit string: {text!r}")
     return int(text[::-1], 4)
 
@@ -193,7 +193,8 @@ class MultiIndex:
     @classmethod
     def from_string(cls, text: str) -> "MultiIndex":
         """Parse a base-4 digit string, qubit 1 first (e.g. '32' -> (3, 2))."""
-        return cls(len(text), _base4_code(text))
+        code = _base4_code(text)
+        return cls(len(text), code)
 
     @classmethod
     def from_bit_string(cls, text: str) -> "MultiIndex":

@@ -385,6 +385,11 @@ def test_qc_channel_validation_errors():
         qc_channel(["0", "30"])
 
 
+def test_qc_channel_refuses_integer_labels():
+    with pytest.raises(ValueError, match="not a base-4 digit string: 0"):
+        qc_channel([0, 1, 2, 3])
+
+
 def test_qc_project_is_idempotent_and_trace_preserving():
     rho = _random_states(2, 1, seed=33)[0]
     V = common_eigenbasis(["30", "03"])

@@ -119,6 +119,16 @@ def test_from_bit_string_refuses_a_list_of_bits():
         MultiIndex.from_bit_string(["0", "1"])
 
 
+def test_from_string_refuses_an_integer():
+    with pytest.raises(ValueError, match="not a base-4 digit string: 12"):
+        MultiIndex.from_string(12)
+
+
+def test_from_string_refuses_a_list_of_digits():
+    with pytest.raises(ValueError, match=r"not a base-4 digit string: \['1', '2'\]"):
+        MultiIndex.from_string(["1", "2"])
+
+
 def test_from_digits_refuses_a_non_integer_digit():
     # 1.0 == 1, so a membership test in (0, 1, 2, 3) let it reach the shift.
     with pytest.raises(ValueError, match=r"digit 1\.0 is not an integer"):
