@@ -230,8 +230,8 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
 
     ``eigvalsh(choi_dense(PceMap(n, m))).min()`` up to rounding, solved as
     the matrix's ``2**n`` diagonal blocks of size ``2**n`` (see the module
-    docstring): the masks' bits are decoded in one batch, and the blocks are
-    built and diagonalized a chunk of masks at a time to bound memory.
+    docstring): the masks' bits are decoded, and the blocks built and
+    diagonalized, a chunk of masks at a time to bound memory.
 
     Raises:
         ValueError: if a mask is not an integer in ``0 .. 2**(4**n) - 1``.
@@ -243,11 +243,10 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
 def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
     """`choi_min_eigenvalues` on checked masks and n."""
     terms = _choi_block_terms(n).reshape(4**n, -1)
-    bits = _tau_bits(n, masks)
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
-        tau = bits[start : start + chunk].astype(float)
+        tau = _tau_bits(n, masks[start : start + chunk]).astype(float)
         blocks = (tau @ terms).reshape(len(tau) * 2**n, 2**n, 2**n) / 2**n
         lowest = np.linalg.eigvalsh(blocks)[:, 0].reshape(len(tau), 2**n)
         out[start : start + len(tau)] = lowest.min(axis=1)
