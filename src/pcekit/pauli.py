@@ -193,7 +193,7 @@ class MultiIndex:
     @classmethod
     def from_string(cls, text: str) -> "MultiIndex":
         """Parse a base-4 digit string, qubit 1 first (e.g. '32' -> (3, 2))."""
-        code = _base4_code(text)
+        code = _base4_code(text)  # before len(), which a non-str may lack
         return cls(len(text), code)
 
     @classmethod

@@ -1,5 +1,7 @@
 """Pauli multi-index algebra: encoding, signs, commutation, transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,21 +114,20 @@ def test_invalid_encodings_rejected():
         MultiIndex.from_digits((0, 4))
 
 
-def test_from_bit_string_refuses_a_list_of_bits():
-    # Every element of ["0", "1"] is in "01", so a per-character check read it
-    # as MultiIndex(1, 2).
-    with pytest.raises(ValueError, match=r"not a length-2n bit string: \['0', '1'\]"):
-        MultiIndex.from_bit_string(["0", "1"])
-
-
-def test_from_string_refuses_an_integer():
-    with pytest.raises(ValueError, match="not a base-4 digit string: 12"):
-        MultiIndex.from_string(12)
-
-
-def test_from_string_refuses_a_list_of_digits():
-    with pytest.raises(ValueError, match=r"not a base-4 digit string: \['1', '2'\]"):
-        MultiIndex.from_string(["1", "2"])
+@pytest.mark.parametrize(
+    "parse, value, message",
+    [
+        # Every element of ["0", "1"] is in "01", so a per-character check
+        # read it as MultiIndex(1, 2).
+        (MultiIndex.from_bit_string, ["0", "1"], "not a length-2n bit string"),
+        (MultiIndex.from_string, 12, "not a base-4 digit string"),
+        (MultiIndex.from_string, ["1", "2"], "not a base-4 digit string"),
+    ],
+    ids=["bit-string-list", "string-int", "string-list"],
+)
+def test_string_parsers_refuse_a_non_str(parse, value, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message}: {value!r}")):
+        parse(value)
 
 
 def test_from_digits_refuses_a_non_integer_digit():
