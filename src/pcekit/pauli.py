@@ -12,8 +12,9 @@ Conventions used throughout the package:
   and the high bit ``k``.  The binary view of a multi-index is the length-2n
   bit vector ``(j_1..j_n, k_1..k_n)``; converting quaternary -> binary ->
   quaternary is the identity.  Read in base 4, a 0/1 string puts bit q at
-  bit 2q, so each reversed half of a bit string, read in base 4, is its bits'
-  part of the packed code: the j half as is, the k half shifted left once.
+  bit 2q, so the j half of a bit string, reversed and read in base 4, gives
+  the j bits of the packed code in place; the k half, read the same way and
+  shifted left once, gives the k bits.
 * Componentwise addition of multi-indices (each digit added in the Klein
   four-group) is XOR of packed codes.
 * ``sign(alpha, beta)`` is the +-1 sign picked up when conjugating one Pauli
