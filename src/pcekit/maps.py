@@ -25,7 +25,8 @@ JSON interchange form (shared with the CLI)::
     {"n": 2, "basis": ["0101", "1011"]}               # bits (j_1..j_n k_1..k_n)
 
 Both are accepted on input; output uses "basis" for channels and "preserved"
-for everything else.
+for everything else.  A "preserved" list is decoded and written as one digit
+array, and a refusal still names the first bad entry.
 """
 
 from __future__ import annotations
@@ -510,6 +511,39 @@ def _preserved_code(text, n: int) -> int:
     return _base4_code(text)
 
 
+# The codes <-> strings codec of "preserved" lists: each string holds one
+# code's base-4 digits, qubit 1 first, as ASCII '0'..'3'.
+
+
+def _preserved_codes(entries: list, n: int) -> np.ndarray:
+    """Flat indices of a "preserved" list, decoded as one int64 array.
+
+    Every entry must be a `str` of exactly ``n`` characters, and their join
+    must be ASCII digits 0..3; the joined bytes are then read as an
+    ``(len(entries), n)`` digit array and weighted by ``4**arange(n)``.
+    Otherwise `_preserved_code` runs over the list and raises for the first
+    bad entry, so each refusal names that entry as the one-entry rule does.
+    """
+    try:
+        same_length = set(map(len, entries)) <= {n}
+        text = "".join(entries)
+    except TypeError:  # an entry without a length, or one that is not a str
+        same_length = False
+    if same_length and text.isascii():
+        # Characters below '0' wrap around in uint8, so one test refuses them too.
+        digits = np.frombuffer(text.encode("ascii"), np.uint8) - 48
+        if digits.max(initial=0) <= 3:
+            return digits.reshape(-1, n) @ 4 ** np.arange(n, dtype=np.int64)
+    return np.array([_preserved_code(entry, n) for entry in entries], np.int64)
+
+
+def _preserved_strings(codes: np.ndarray, n: int) -> list[str]:
+    """Inverse of `_preserved_codes`: the n-digit string of each code in the
+    int64 array ``codes``, cut from one array of ASCII digits."""
+    digits = 48 + ((codes[:, None] >> 2 * np.arange(n)) & 3)
+    return digits.astype(np.uint8).view(f"S{n}").ravel().astype(f"U{n}").tolist()
+
+
 def load_channel_document(doc: dict) -> PceMap | Subspace:
     """Parse a channel document; returns the form the document used.
 
@@ -527,7 +561,7 @@ def load_channel_document(doc: dict) -> PceMap | Subspace:
         entries = doc["preserved"]
         if not isinstance(entries, list):
             raise ValueError('"preserved" must be a list of base-4 strings')
-        codes = [_preserved_code(text, n) for text in entries]
+        codes = _preserved_codes(entries, n)
         check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")
         return PceMap._from_flat(n, codes)
     entries = doc["basis"]
@@ -551,4 +585,5 @@ def dump_channel_document(obj: PceMap | Subspace) -> dict:
     rows = _closed_basis(obj) if obj.is_trace_preserving else None
     if rows is not None:
         return dump_channel_document(Subspace(obj.n, tuple(rows)))
-    return {"n": obj.n, "preserved": [m.to_string() for m in obj.preserved()]}
+    codes = np.flatnonzero(obj.tau_vector().view(bool))
+    return {"n": obj.n, "preserved": _preserved_strings(codes, obj.n)}

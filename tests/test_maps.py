@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcekit.errors import (
     CapacityError,
@@ -31,6 +33,7 @@ from pcekit.maps import (
     subspace_to_map,
     tau_from_spectrum,
 )
+from pcekit.maps import _preserved_code, _preserved_codes
 from pcekit.pauli import MultiIndex, sign_transform
 
 # The five single-qubit channels: identity, depolarizing, and the three
@@ -492,6 +495,105 @@ def test_preserved_entry_refusals_name_the_entry():
         assert str(exc.value) == f"flat index {bad} out of range for n=2"
     assert PceMap.from_preserved(2, []).tau == 0
     assert PceMap.from_preserved(2, ["00", "33", 3, MultiIndex(2, 4)]).tau == 0b1000000000011001
+
+
+def test_dumped_preserved_list_bytes_are_pinned():
+    # The bytes the per-index MultiIndex.to_string writer produced.
+    m = PceMap.from_preserved(3, [0, 1, 6, 27, 40, 63])
+    assert json.dumps(dump_channel_document(m)) == (
+        '{"n": 3, "preserved": ["000", "100", "210", "321", "022", "333"]}'
+    )
+
+
+@st.composite
+def non_closed_maps(draw):
+    """Maps whose document is a "preserved" list: a drawn index set, or all
+    indices but a drawn set (dense masks), on n = 1..8."""
+    n = draw(st.integers(1, 8))
+    drawn = draw(st.lists(st.integers(0, 4**n - 1), max_size=40))
+    if draw(st.booleans()):
+        drawn = sorted(set(range(4**n)) - set(drawn))
+    m = PceMap.from_preserved(n, drawn)
+    if m.is_trace_preserving and is_closed_subspace(m):
+        m = PceMap(n, m.tau & ~1)  # erasing tau_0 keeps it a "preserved" document
+    return m
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(non_closed_maps())
+def test_preserved_documents_round_trip(m):
+    doc = dump_channel_document(m)
+    assert list(doc) == ["n", "preserved"]
+    assert doc["preserved"] == [idx.to_string() for idx in m.preserved()]
+    assert load_channel_document(json.loads(json.dumps(doc))) == m
+
+
+# Each kind of bad entry, made from a valid entry of n digits.
+_BAD_ENTRIES = {
+    "int": lambda text, pos: int(text),
+    "none": lambda text, pos: None,
+    "list": lambda text, pos: list(text),
+    "bool": lambda text, pos: True,
+    "short": lambda text, pos: text[1:],
+    "long": lambda text, pos: text + "0",
+    "digit-4": lambda text, pos: text[:pos] + "4" + text[pos + 1 :],
+    "non-ascii-digit": lambda text, pos: text[:pos] + "\u0663" + text[pos + 1 :],
+    "space": lambda text, pos: text[:pos] + " " + text[pos + 1 :],
+    "plus": lambda text, pos: text[:pos] + "+" + text[pos + 1 :],
+    "minus": lambda text, pos: text[:pos] + "-" + text[pos + 1 :],
+    "underscore": lambda text, pos: text[:pos] + "_" + text[pos + 1 :],
+}
+
+
+@st.composite
+def preserved_lists(draw):
+    """A valid "preserved" list on n = 1..12, duplicates allowed."""
+    n = draw(st.integers(1, 12))
+    digits = st.text(alphabet="0123", min_size=n, max_size=n)
+    return n, draw(st.lists(digits, max_size=30))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(preserved_lists())
+def test_preserved_decoder_equals_the_per_entry_rule(case):
+    n, entries = case
+    codes = _preserved_codes(entries, n)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [_preserved_code(text, n) for text in entries]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(preserved_lists(), st.sampled_from(sorted(_BAD_ENTRIES)), st.data())
+def test_preserved_decoder_refuses_as_the_per_entry_rule(case, kind, data):
+    n, entries = case
+    at = data.draw(st.integers(0, len(entries)), label="at")
+    good = data.draw(st.text(alphabet="0123", min_size=n, max_size=n), label="good")
+    pos = data.draw(st.integers(0, n - 1), label="pos")
+    entries = entries[:at] + [_BAD_ENTRIES[kind](good, pos)] + entries[at:]
+    with pytest.raises(ValueError) as expected:
+        [_preserved_code(text, n) for text in entries]
+    with pytest.raises(ValueError) as got:
+        load_channel_document({"n": n, "preserved": entries})
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_preserved_decoder_edge_lists():
+    assert _preserved_codes([], 3).tolist() == []
+    assert load_channel_document({"n": 3, "preserved": []}) == PceMap(3, 0)
+    assert _preserved_codes(["12", "12", "00"], 2).tolist() == [9, 9, 0]
+    assert load_channel_document({"n": 2, "preserved": ["12", "12"]}) == PceMap(2, 1 << 9)
+    assert _preserved_codes(["3" * 16], 16).tolist() == [4**16 - 1]
+
+
+def test_preserved_entries_are_refused_before_the_capacity_error():
+    entries = ["0" * 14, "0" * 13 + "4"]
+    with pytest.raises(ValueError, match="not a base-4 digit string: '0{13}4'"):
+        load_channel_document({"n": 14, "preserved": entries})
+    with pytest.raises(ValueError, match="preserved entry '0' is not 14 base-4 digits"):
+        load_channel_document({"n": 14, "preserved": ["0" * 14, "0"]})
+    with pytest.raises(CapacityError):
+        load_channel_document({"n": 14, "preserved": entries[:1]})
 
 
 def test_basis_document_uses_low_then_high_bit_halves():
