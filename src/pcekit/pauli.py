@@ -149,6 +149,8 @@ def _digit(value) -> int:
 # Each digit's j bit and k bit (digit = j + 2k), for str.translate.
 _J_BIT = str.maketrans("0123", "0101")
 _K_BIT = str.maketrans("0123", "0011")
+# Each hex digit as its two base-4 digits, the high one first.
+_HEX_BASE4 = str.maketrans({f"{v:x}": f"{v >> 2}{v & 3}" for v in range(16)})
 
 
 def _low_mask(n: int) -> int:
@@ -226,7 +228,10 @@ class MultiIndex:
 
     def to_string(self) -> str:
         """Base-4 digit string, qubit 1 first."""
-        return "".join(str(d) for d in self.digits)
+        # ceil(n/2) hex digits give n or n + 1 base-4 digits, most significant
+        # first; reversed, the extra one is a trailing 0.
+        base4 = format(self.code, f"0{(self.n + 1) // 2}x").translate(_HEX_BASE4)
+        return base4[::-1][: self.n]
 
     def to_bit_string(self) -> str:
         """Length-2n bit string in the (j_1..j_n k_1..k_n) layout."""

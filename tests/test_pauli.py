@@ -97,6 +97,20 @@ def test_bit_string_codec_equals_the_per_digit_reference(m):
     assert MultiIndex.from_bit_string(text) == m == _reference_from_bit_string(text)
 
 
+def _reference_to_string(m: MultiIndex) -> str:
+    """The base-4 digit string, qubit 1 first, joined digit by digit."""
+    return "".join(str(d) for d in m.digits)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(multi_indices())
+def test_to_string_equals_the_per_digit_reference(m):
+    assert m.to_string() == _reference_to_string(m)
+    for code in (0, 4**m.n - 1):
+        edge = MultiIndex(m.n, code)
+        assert edge.to_string() == _reference_to_string(edge)
+
+
 def test_invalid_encodings_rejected():
     with pytest.raises(ValueError):
         MultiIndex(1, 4)
