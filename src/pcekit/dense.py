@@ -39,9 +39,9 @@ from .maps import (
     Subspace,
     _check_tau,
     _closed_bases,
+    _spectrum_counts,
     _tau_bits,
     channel_spectrum,
-    choi_spectrum,
     closure_witness,
     subspace_to_map,
 )
@@ -293,7 +293,7 @@ def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
         if report["is_channel"]:
             counts = channel_spectrum(obj.n, report["K"])
         else:
-            counts = choi_spectrum(pce).value_counts()
+            counts = _spectrum_counts(pce)
         report["spectrum"] = {
             "values": [{"value": str(v), "count": c} for v, c in counts],
             "min": str(counts[0][0]),

@@ -10,7 +10,7 @@ import pytest
 
 from pcekit.cli import _round12, main
 from pcekit.dense import check_report
-from pcekit.maps import choi_spectrum, load_channel_document
+from pcekit.maps import choi_spectrum, closure, load_channel_document, subspace_to_map
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -173,29 +173,42 @@ def test_check_zero_map_oracle_agrees(n, tmp_path, capsys):
 def test_check_reports_channel_spectra_without_the_sign_transform(
     tmp_path, capsys, monkeypatch
 ):
-    def refuse(pce):
-        raise RuntimeError("choi_spectrum called")
+    closed = {"n": 4, "preserved": ["0000", "3000", "0110", "3110"]}
+    expected = choi_spectrum(load_channel_document(closed)).value_counts()
 
-    monkeypatch.setattr("pcekit.dense.choi_spectrum", refuse)
+    def refuse(vec):
+        raise RuntimeError("sign_transform called")
+
+    monkeypatch.setattr("pcekit.maps.sign_transform", refuse)
     doc, _ = CHECK_GOLDEN_DOCUMENTS["basis_12"]
     path = write_json(tmp_path, "basis_12.json", doc)
     code, out, _ = run_cli(["--format", "json", "check", path], capsys)
     assert code == 0
     assert out == (GOLDEN_DIR / "check_basis_12_json.txt").read_text()
 
-    closed = {"n": 4, "preserved": ["0000", "3000", "0110", "3110"]}
     path = write_json(tmp_path, "closed_4.json", closed)
     code, out, _ = run_cli(["--format", "json", "check", path], capsys)
     assert code == 0
-    expected = choi_spectrum(load_channel_document(closed)).value_counts()
     assert json.loads(out)["spectrum"]["values"] == [
         {"value": str(v), "count": c} for v, c in expected
     ]
+    monkeypatch.undo()
 
-    near = {"n": 4, "preserved": ["0000", "3000", "0110"]}
-    path = write_json(tmp_path, "near_4.json", near)
-    with pytest.raises(RuntimeError, match="choi_spectrum called"):
-        main(["check", path])
+    # A non-channel's counts are those of its full spectrum, below and above
+    # the qubit count where they are counted over the preserved set's span.
+    members = subspace_to_map(closure(8, [3, 4**7 + 16, 2**15 + 5])).preserved()
+    for near in (
+        {"n": 4, "preserved": ["0000", "3000", "0110"]},
+        {"n": 8, "preserved": [m.to_string() for m in members[:-1]]},
+        {"n": 8, "preserved": [m.to_string() for m in members] + ["01230123"]},
+    ):
+        path = write_json(tmp_path, "near.json", near)
+        code, out, _ = run_cli(["--format", "json", "check", path], capsys)
+        assert code == 1
+        expected = choi_spectrum(load_channel_document(near)).value_counts()
+        assert json.loads(out)["spectrum"]["values"] == [
+            {"value": str(v), "count": c} for v, c in expected
+        ]
 
 
 def test_check_missing_file_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """PCE maps: bitmask/basis forms, Choi spectra, closure, documents."""
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ from pcekit.maps import (
     subspace_to_map,
     tau_from_spectrum,
 )
-from pcekit.maps import _preserved_code, _preserved_codes
+from pcekit import maps
+from pcekit.maps import _preserved_code, _preserved_codes, _spectrum_counts
 from pcekit.pauli import MultiIndex, sign_transform
 
 # The five single-qubit channels: identity, depolarizing, and the three
@@ -601,3 +603,64 @@ def test_basis_document_uses_low_then_high_bit_halves():
     # digits are (0 + 2*1, 1 + 2*0) = (2, 1).
     loaded = load_channel_document({"n": 2, "basis": ["0110"]})
     assert loaded.basis == (MultiIndex.from_string("21").code,)
+
+
+@st.composite
+def spectrum_maps(draw):
+    """Masks on n = 1..7 of every kind `check` counts: dense and sparse
+    random, near-channels (members erased or indices added), trace-preserving
+    or not, and the zero, depolarizing and identity maps."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["dense", "sparse", "erase", "add", "zero", "depolarizing", "identity"]))
+    if kind == "dense":
+        tau = draw(st.integers(0, (1 << 4**n) - 1))
+    elif kind == "sparse":
+        tau = PceMap.from_preserved(n, draw(st.lists(st.integers(0, 4**n - 1), max_size=20))).tau
+    elif kind in ("erase", "add"):
+        rows = draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n))
+        members = subspace_to_map(closure(n, rows)).preserved_indices()
+        flips = draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=3))
+        if kind == "erase":
+            flips = [members[f % len(members)] for f in flips]
+        tau = PceMap.from_preserved(n, set(members).symmetric_difference(flips)).tau
+    else:
+        tau = {"zero": 0, "depolarizing": 1, "identity": (1 << 4**n) - 1}[kind]
+    if draw(st.booleans()):
+        tau &= ~1  # not trace-preserving
+    return PceMap(n, tau)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(spectrum_maps())
+def test_spectrum_counts_equal_the_full_spectrum(pce):
+    expected = choi_spectrum(pce).value_counts()
+    assert _spectrum_counts(pce) == expected
+    # The span route at every n, not only at n >= _SPAN_MIN_QUBITS.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_SPAN_MIN_QUBITS", 1)
+        assert _spectrum_counts(pce) == expected
+
+
+def test_near_channel_spectrum_transforms_only_the_span():
+    rng = random.Random(11)
+    members = []
+    while len(members) != 2**8:
+        rows = [rng.randrange(4**11) for _ in range(8)]
+        members = subspace_to_map(closure(11, rows)).preserved_indices()
+    outside = 0
+    while outside in members:
+        outside = rng.randrange(4**11)
+    sizes = []
+
+    def recording(vec):
+        sizes.append(np.size(vec))
+        return sign_transform(vec)
+
+    for near, dim in ((members[:-1], 8), (members + [outside], 9)):
+        pce = PceMap.from_preserved(11, near)
+        expected = choi_spectrum(pce).value_counts()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(maps, "sign_transform", recording)
+            assert _spectrum_counts(pce) == expected
+        assert sizes.pop() == 4 ** ((dim + 1) // 2) <= 4**5
+        assert sizes == []
