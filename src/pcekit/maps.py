@@ -288,7 +288,9 @@ class ChoiSpectrum:
         return bool(self.numerators.min() >= 0)
 
 
-def _value_counts(numerators: np.ndarray, denominator: int, scale: int = 1):
+def _value_counts(
+    numerators: np.ndarray, denominator: int, scale: int = 1
+) -> list[tuple[Fraction, int]]:
     """Distinct ``numerators`` over ``denominator``, ascending, each with its
     count times ``scale``."""
     values, counts = np.unique(numerators, return_counts=True)
@@ -321,8 +323,7 @@ def _spectrum_counts(pce: PceMap) -> list[tuple[Fraction, int]]:
     ``m = ceil(D / 2)``, go through `sign_transform` on ``4**m`` entries,
     where each value occurs ``2**(2m - D)`` times, so every count is scaled
     by ``4**(n - m)``.  The tau vector is the case ``m = n``, taken when
-    ``n < _SPAN_MIN_QUBITS`` or S is too large to span less than 2n - 1
-    dimensions.
+    ``n < _SPAN_MIN_QUBITS`` or ``D >= 2n - 1``.
     """
     n = pce.n
     bits = pce.tau_vector()
@@ -344,20 +345,21 @@ def _span_coordinates(n: int, codes: np.ndarray) -> tuple[int, np.ndarray] | Non
 
     The basis starts from the codes at positions ``2**i - 1`` and ``2**i``,
     which hold a basis when the codes are a subspace, with or without 0 (see
-    `_closed_bases`), or close to one.  Coordinate i is the pivot bit of the row with the i-th lowest
-    pivot, read through one table per half of the code's 2n bits.  A code is
-    in the span iff the combination its coordinates name is the code itself;
-    codes outside join the basis, and the check repeats.
+    `_closed_bases`), or close to one.  Coordinate i is the code's bit at the
+    pivot of the row with the i-th lowest pivot, read through one table per
+    half of the code's 2n bits.  A code is in the span iff the combination
+    its coordinates name is the code itself; the first 2n codes outside join
+    the basis, and the check repeats.
     """
     size = codes.size
     at = [p for i in range(size.bit_length()) for p in ((1 << i) - 1, 1 << i) if p < size]
     basis = gf2.rref(codes[at].tolist())
     while len(basis) < 2 * n - 1:
         rows = basis[::-1]
-        # Code bit p contributes 2**i to the coordinates if p is row i's pivot.
-        bits = np.zeros(2 * n, np.int64)
-        bits[[row.bit_length() - 1 for row in rows]] = 1 << np.arange(len(rows))
-        low, high = _span(bits.reshape(2, n))
+        # Code bit p adds 2**i to the coordinates if p is row i's pivot.
+        weights = np.zeros(2 * n, np.int64)
+        weights[[row.bit_length() - 1 for row in rows]] = 1 << np.arange(len(rows))
+        low, high = _span(weights.reshape(2, n))
         coords = low[codes & ((1 << n) - 1)] | high[codes >> n]
         outside = codes[_span(rows)[coords] != codes]
         if not outside.size:
