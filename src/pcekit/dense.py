@@ -38,11 +38,13 @@ from .maps import (
     PceMap,
     Subspace,
     _check_tau,
+    _closed_basis,
     _closed_bases,
+    _decode,
+    _first_erased_sum,
     _spectrum_counts,
     _tau_bits,
     channel_spectrum,
-    closure_witness,
     subspace_to_map,
 )
 from .pauli import (
@@ -277,14 +279,14 @@ def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
         pce = subspace_to_map(obj) if obj.n <= CHOI_QUBIT_LIMIT else None
     else:
         pce = obj
-        report["is_pce"] = pce.is_trace_preserving
-        witness = closure_witness(pce) if pce.is_trace_preserving else None
-        report["is_channel"] = closed = pce.is_trace_preserving and witness is None
-        if closed:
-            report["K"] = pce.preserved_count.bit_length() - 1
+        present, codes = _decode(pce)  # the one decode; every answer below reads it
+        rows = _closed_basis(pce.n, present, codes)
+        report.update(is_pce=pce.is_trace_preserving, is_channel=rows is not None)
+        if rows is not None:
+            report["K"] = len(rows)
         report["popcount"] = pce.preserved_count
-        if witness is not None:
-            a, b, missing = witness
+        if pce.is_trace_preserving and rows is None:
+            a, b, missing = _first_erased_sum(pce.n, present, codes)
             report["witness"] = {
                 "pair": [a.to_string(), b.to_string()],
                 "missing": missing.to_string(),
@@ -293,7 +295,7 @@ def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
         if report["is_channel"]:
             counts = channel_spectrum(obj.n, report["K"])
         else:
-            counts = _spectrum_counts(pce)
+            counts = _spectrum_counts(pce.n, present, codes)
         report["spectrum"] = {
             "values": [{"value": str(v), "count": c} for v, c in counts],
             "min": str(counts[0][0]),

@@ -139,7 +139,7 @@ class PceMap:
 
     def preserved_indices(self) -> list[int]:
         """Sorted flat indices of preserved components."""
-        return np.flatnonzero(self.tau_vector().view(bool)).tolist()
+        return _decode(self)[1].tolist()
 
     def preserved(self) -> list[MultiIndex]:
         return [MultiIndex(self.n, f) for f in self.preserved_indices()]
@@ -185,6 +185,15 @@ def _tau_bits(n: int, masks) -> np.ndarray:
     width = (4**n + 7) // 8
     raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
     return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * width)[:, : 4**n]
+
+
+def _decode(pce: PceMap) -> tuple[np.ndarray, np.ndarray]:
+    """The one decode of a single map: tau as a bool array of length
+    ``4**n``, and its set positions, ascending, as one int64 array.  The
+    closure decision, the witness scan, the Choi spectrum and every listing
+    of a single map read these two arrays."""
+    present = pce.tau_vector().view(bool)
+    return present, np.flatnonzero(present)
 
 
 @dataclass(frozen=True)
@@ -310,8 +319,11 @@ def choi_spectrum(pce: PceMap) -> ChoiSpectrum:
 _SPAN_MIN_QUBITS = 8
 
 
-def _spectrum_counts(pce: PceMap) -> list[tuple[Fraction, int]]:
-    """``choi_spectrum(pce).value_counts()``, transformed over the span of the
+def _spectrum_counts(
+    n: int, present: np.ndarray, codes: np.ndarray
+) -> list[tuple[Fraction, int]]:
+    """``choi_spectrum(pce).value_counts()`` of the map that `_decode` decoded
+    into ``present`` and ``codes``, transformed over the span of the
     preserved set S rather than over all ``4**n`` indices.
 
     The numerator at f is ``sum_{g in S} (-1)**omega(f, g)``, with omega the
@@ -325,12 +337,11 @@ def _spectrum_counts(pce: PceMap) -> list[tuple[Fraction, int]]:
     by ``4**(n - m)``.  The tau vector is the case ``m = n``, taken when
     ``n < _SPAN_MIN_QUBITS`` or ``D >= 2n - 1``.
     """
-    n = pce.n
-    bits = pce.tau_vector()
+    bits = present.view(np.uint8)
     m = n
     # Above 4**(n - 1) codes, D >= 2n - 1, so m = n anyway.
-    if n >= _SPAN_MIN_QUBITS and pce.preserved_count <= 4 ** (n - 1):
-        found = _span_coordinates(n, np.flatnonzero(bits.view(bool)))
+    if n >= _SPAN_MIN_QUBITS and codes.size <= 4 ** (n - 1):
+        found = _span_coordinates(n, codes)
         if found is not None:
             m = (found[0] + 1) // 2
             bits = np.zeros(4**m, np.uint8)
@@ -345,7 +356,7 @@ def _span_coordinates(n: int, codes: np.ndarray) -> tuple[int, np.ndarray] | Non
 
     The basis starts from the codes at positions ``2**i - 1`` and ``2**i``,
     which hold a basis when the codes are a subspace, with or without 0 (see
-    `_closed_bases`), or close to one.  Coordinate i is the code's bit at the
+    `_closed_group`), or close to one.  Coordinate i is the code's bit at the
     pivot of the row with the i-th lowest pivot, read through one table per
     half of the code's 2n bits.  A code is in the span iff the combination
     its coordinates name is the code itself; the first 2n codes outside join
@@ -406,33 +417,48 @@ def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
     return PceMap.from_bits(spectrum.n, scaled == full)
 
 
-def _closed_basis(pce: PceMap) -> list[int] | None:
-    """Canonical RREF basis of the preserved set; None if it is not closed.
+def _closed_group(n: int, bits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closure decision on G decoded masks of one popcount ``2**K``.
 
-    The one-mask call of `_closed_bases`.
+    ``bits`` holds the masks' bits as bools, G rows of ``4**n``; row g of
+    ``codes`` holds mask g's ``2**K`` set positions in ``bits`` read flat,
+    ``g * 4**n + f``, ascending.  Returns each mask's rows, the codes at
+    positions ``2**i`` reduced mod ``4**n`` (shape ``(G, K)``), and whether
+    its set is closed.
 
-    Raises:
-        TracePreservationError: if the normalization component is erased.
+    Listing a subspace's members in ascending order lists their RREF
+    coordinates in ascending order too, so the member at position ``2**i`` is
+    the basis row with the i-th lowest pivot.  A set of ``2**K`` members is
+    therefore closed iff those K rows are independent (every XOR combination
+    but the empty one is nonzero) and every combination is a member: one span
+    of the rows, one gather of the bits at the span.  No elimination.
     """
-    if not pce.is_trace_preserving:
-        raise TracePreservationError("tau at the zero index is 0")
-    return _closed_bases(pce.n, [pce.tau])[0]
+    rows = codes[:, [1 << i for i in range(codes.shape[1].bit_length() - 1)]] % 4**n
+    members = _span(rows)
+    closed = (members[:, 1:] != 0).all(axis=1)
+    members |= np.arange(len(codes))[:, None] << 2 * n
+    closed &= bits.reshape(-1)[members].all(axis=1)
+    return rows, closed
+
+
+def _closed_basis(n: int, present: np.ndarray, codes: np.ndarray) -> list[int] | None:
+    """Canonical RREF basis of the preserved set of the map that `_decode`
+    decoded into ``present`` and ``codes``; None where tau_0 is erased or the
+    set is not closed.  The one-map call of `_closed_group`."""
+    if not present[0] or codes.size & (codes.size - 1):
+        return None
+    rows, closed = _closed_group(n, present, codes[None])
+    return rows[0, ::-1].tolist() if closed[0] else None
 
 
 def _closed_bases(n: int, masks) -> list[list[int] | None]:
     """Canonical RREF basis of each tau bitmask's preserved set, or None
     where the mask erases tau_0 or its preserved set is not closed.
 
-    Listing a subspace's members in ascending order lists their RREF
-    coordinates in ascending order too, so the member at position ``2**i`` is
-    the basis row with the i-th lowest pivot.  A set of ``2**K`` members is
-    therefore closed iff those K rows are independent (every XOR combination
-    but the empty one is nonzero) and every combination is a member.  The
-    masks are grouped by popcount, and each group of trace-preserving masks
-    with a power-of-two count is decided at once: one decode, one span of the
-    group's rows, one gather of tau at the span.  No elimination.
-
-    The masks are ints in ``0 .. 2**(4**n) - 1``, as in a `PceMap`.
+    The masks are grouped by popcount, and each group of trace-preserving
+    masks with a power-of-two count is decoded at once and decided by one
+    `_closed_group` call.  The masks are ints in ``0 .. 2**(4**n) - 1``, as
+    in a `PceMap`.
     """
     out: list[list[int] | None] = [None] * len(masks)
     groups: dict[int, list[int]] = {}
@@ -442,26 +468,38 @@ def _closed_bases(n: int, masks) -> list[list[int] | None]:
             groups.setdefault(count, []).append(position)
     for count, positions in groups.items():
         bits = _tau_bits(n, [masks[p] for p in positions]).view(bool)
-        # Mask g's index f is at flat position g * 4**n + f, i.e. (g << 2n) | f.
-        at = [1 << i for i in range(count.bit_length() - 1)]
-        rows = np.flatnonzero(bits).reshape(len(positions), count)[:, at] % 4**n
-        members = _span(rows)
-        closed = (members[:, 1:] != 0).all(axis=1)
-        members |= np.arange(len(positions))[:, None] << 2 * n
-        closed &= bits.reshape(-1)[members].all(axis=1)
+        codes = np.flatnonzero(bits).reshape(len(positions), count)
+        rows, closed = _closed_group(n, bits, codes)
         for p, basis, ok in zip(positions, rows[:, ::-1].tolist(), closed.tolist()):
             if ok:
                 out[p] = basis
     return out
 
 
-def is_closed_subspace(pce: PceMap) -> bool:
-    """Whether the preserved index set is a GF(2) subspace.
+def _decode_candidate(pce: PceMap) -> tuple[np.ndarray, np.ndarray]:
+    """`_decode` of a map whose closure is asked.
 
     Raises:
         TracePreservationError: if the normalization component is erased.
     """
-    return _closed_basis(pce) is not None
+    if not pce.is_trace_preserving:
+        raise TracePreservationError("tau at the zero index is 0")
+    return _decode(pce)
+
+
+def is_closed_subspace(pce: PceMap) -> bool:
+    """Whether the preserved index set is a GF(2) subspace.
+
+    A trace-preserving map whose popcount is not a power of two is answered
+    False with no decode.
+
+    Raises:
+        TracePreservationError: if the normalization component is erased.
+    """
+    count = pce.preserved_count
+    if count & (count - 1) and pce.is_trace_preserving:
+        return False
+    return _closed_basis(pce.n, *_decode_candidate(pce)) is not None
 
 
 def closure_witness(
@@ -475,23 +513,24 @@ def closure_witness(
     Raises:
         TracePreservationError: if the normalization component is erased.
     """
-    if _closed_basis(pce) is not None:
+    present, codes = _decode_candidate(pce)
+    if _closed_basis(pce.n, present, codes) is not None:
         return None
-    return _first_erased_sum(pce)
+    return _first_erased_sum(pce.n, present, codes)
 
 
-def _first_erased_sum(pce: PceMap) -> tuple[MultiIndex, MultiIndex, MultiIndex]:
-    """The pair scan of `closure_witness`, run only on trace-preserving maps
-    that `_closed_basis` rejected, which always hold a pair with an erased
-    sum.  Decodes tau once and reads only that array, walking its set
-    positions in ascending order."""
-    present = pce.tau_vector().view(bool)
-    later = np.flatnonzero(present)
-    for i, a in enumerate(later):
-        erased = np.flatnonzero(~present[later[i + 1 :] ^ a])
+def _first_erased_sum(
+    n: int, present: np.ndarray, codes: np.ndarray
+) -> tuple[MultiIndex, MultiIndex, MultiIndex]:
+    """The pair scan of `closure_witness` over the arrays of `_decode`, run
+    only on trace-preserving maps that `_closed_basis` rejected, which always
+    hold a pair with an erased sum.  Walks the set positions ``codes`` in
+    ascending order and looks each pair's sum up in ``present``."""
+    for i, a in enumerate(codes):
+        erased = np.flatnonzero(~present[codes[i + 1 :] ^ a])
         if erased.size:
-            a, b = int(a), int(later[i + 1 + int(erased[0])])
-            return MultiIndex(pce.n, a), MultiIndex(pce.n, b), MultiIndex(pce.n, a ^ b)
+            a, b = int(a), int(codes[i + 1 + int(erased[0])])
+            return MultiIndex(n, a), MultiIndex(n, b), MultiIndex(n, a ^ b)
 
 
 def is_completely_positive(pce: PceMap | Subspace) -> bool:
@@ -537,9 +576,10 @@ def map_to_subspace(pce: PceMap) -> Subspace:
     Raises:
         NotAChannelError: if the preserved set is not closed.
     """
-    rows = _closed_basis(pce)
+    present, codes = _decode_candidate(pce)
+    rows = _closed_basis(pce.n, present, codes)
     if rows is None:
-        witness = _first_erased_sum(pce)
+        witness = _first_erased_sum(pce.n, present, codes)
         raise NotAChannelError(
             f"preserved set is not closed: {witness[0]} + {witness[1]} "
             f"gives the erased index {witness[2]}"
@@ -570,7 +610,7 @@ def reflect(pce: PceMap, k: int) -> PceMap:
     value 3 placed at qubit ``k``.
     """
     flip = 3 << (2 * (_qubit_position(k, pce.n) - 1))
-    return PceMap._from_flat(pce.n, np.flatnonzero(pce.tau_vector().view(bool)) ^ flip)
+    return PceMap._from_flat(pce.n, _decode(pce)[1] ^ flip)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +697,8 @@ def dump_channel_document(obj: PceMap | Subspace) -> dict:
             "n": obj.n,
             "basis": [m.to_bit_string() for m in obj.basis_indices()],
         }
-    rows = _closed_basis(obj) if obj.is_trace_preserving else None
+    present, codes = _decode(obj)
+    rows = _closed_basis(obj.n, present, codes)
     if rows is not None:
         return dump_channel_document(Subspace(obj.n, tuple(rows)))
-    codes = np.flatnonzero(obj.tau_vector().view(bool))
     return {"n": obj.n, "preserved": _preserved_strings(codes, obj.n)}

@@ -35,7 +35,7 @@ from pcekit.maps import (
     tau_from_spectrum,
 )
 from pcekit import maps
-from pcekit.maps import _preserved_code, _preserved_codes, _spectrum_counts
+from pcekit.maps import _decode, _preserved_code, _preserved_codes, _spectrum_counts
 from pcekit.pauli import MultiIndex, sign_transform
 
 # The five single-qubit channels: identity, depolarizing, and the three
@@ -137,6 +137,7 @@ def test_map_to_subspace_error_names_witness():
 
 
 def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, tmp_path):
+    import pcekit.dense as dense
     import pcekit.gf2 as gf2
     import pcekit.maps as maps
     from pcekit.cli import main
@@ -148,9 +149,9 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
     calls = {"decisions": 0, "tau_bits": 0, "rref_vectors": 0}
     closed_basis, tau_bits, rref = maps._closed_basis, maps._tau_bits, gf2.rref
 
-    def counting_closed_basis(pce):
+    def counting_closed_basis(n, present, codes):
         calls["decisions"] += 1
-        return closed_basis(pce)
+        return closed_basis(n, present, codes)
 
     def counting_tau_bits(n, masks):  # the one decoder, `tau_vector` included
         calls["tau_bits"] += 1
@@ -162,6 +163,7 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         return rref(vectors)
 
     monkeypatch.setattr(maps, "_closed_basis", counting_closed_basis)
+    monkeypatch.setattr(dense, "_closed_basis", counting_closed_basis)
     monkeypatch.setattr(maps, "_tau_bits", counting_tau_bits)
     monkeypatch.setattr(gf2, "rref", counting_rref)
     for call, expected in (
@@ -173,16 +175,14 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         assert (calls["decisions"], calls["tau_bits"]) == (1, 1), call
         assert calls["rref_vectors"] <= 2 * sub.dim, call
 
-    # Through the CLI: one closure decision per command, and the witness scan
-    # decodes once more only when the decision says "not closed".  A popcount
-    # that is not a power of two is decided without a decode; `check` decodes
-    # once more for a non-channel's spectrum.
+    # Through the CLI: one closure decision and one decode per command.  The
+    # witness scan and a non-channel's spectrum read the decision's arrays.
     members = sub.members()
     outsider = min(set(range(4**9)).difference(members))
     cases = (
         (members, 0, {"check": 1, "decompose": 1}),
-        (members[:-1] + [outsider], 1, {"check": 3, "decompose": 2}),
-        (members[:-1], 1, {"check": 2, "decompose": 1}),
+        (members[:-1] + [outsider], 1, {"check": 1, "decompose": 1}),
+        (members[:-1], 1, {"check": 1, "decompose": 1}),
     )
     for indices, code, decodes in cases:
         path = tmp_path / "channel.json"
@@ -634,11 +634,11 @@ def spectrum_maps(draw):
 @given(spectrum_maps())
 def test_spectrum_counts_equal_the_full_spectrum(pce):
     expected = choi_spectrum(pce).value_counts()
-    assert _spectrum_counts(pce) == expected
+    assert _spectrum_counts(pce.n, *_decode(pce)) == expected
     # The span route at every n, not only at n >= _SPAN_MIN_QUBITS.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maps, "_SPAN_MIN_QUBITS", 1)
-        assert _spectrum_counts(pce) == expected
+        assert _spectrum_counts(pce.n, *_decode(pce)) == expected
 
 
 def test_near_channel_spectrum_transforms_only_the_span():
@@ -661,6 +661,6 @@ def test_near_channel_spectrum_transforms_only_the_span():
         expected = choi_spectrum(pce).value_counts()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(maps, "sign_transform", recording)
-            assert _spectrum_counts(pce) == expected
+            assert _spectrum_counts(11, *_decode(pce)) == expected
         assert sizes.pop() == 4 ** ((dim + 1) // 2) <= 4**5
         assert sizes == []

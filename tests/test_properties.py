@@ -21,6 +21,7 @@ from pcekit.maps import (
     PceMap,
     _closed_basis,
     _closed_bases,
+    _decode,
     Subspace,
     channel_spectrum,
     choi_spectrum,
@@ -177,7 +178,7 @@ def test_batched_closure_decision_equals_per_mask_decision_and_string_scan(case)
     n, masks = case
     got = _closed_bases(n, masks)
     assert got == [string_scan_closed_basis(n, m) for m in masks]
-    assert got == [_closed_basis(PceMap(n, m)) if m & 1 else None for m in masks]
+    assert got == [_closed_basis(n, *_decode(PceMap(n, m))) for m in masks]
     assert _closed_bases(n, []) == []
 
 
