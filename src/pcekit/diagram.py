@@ -90,7 +90,7 @@ def parse_ascii(text: str) -> PceMap:
                 if char not in "#.":
                     raise ValueError(f"unexpected diagram character {char!r}")
                 bits[flat] = char == "#"
-    return PceMap.from_bits(n, bits)
+    return PceMap._from_bits(n, bits)
 
 
 def render_svg(pce: PceMap | Subspace) -> str:

@@ -33,7 +33,7 @@ def _symplectic_complement(n: int, codes) -> list[int]:
 
 def generator_map(label: MultiIndex) -> PceMap:
     """Bitmask of the elementary channel: keep components commuting with ``label``."""
-    return PceMap.from_bits(label.n, symplectic_product_row(label) == 0)
+    return PceMap._from_bits(label.n, symplectic_product_row(label) == 0)
 
 
 def generator_subspace(label: MultiIndex) -> Subspace:

@@ -117,14 +117,33 @@ class PceMap:
         bitmask form and each index in the list or array ``flat`` is in range."""
         bits = np.zeros(4**n, dtype=np.uint8)
         bits[np.asarray(flat, dtype=np.int64)] = 1
-        return cls.from_bits(n, bits)
+        return cls._from_bits(n, bits)
 
     @classmethod
     def from_bits(cls, n: int, bits) -> "PceMap":
-        """Inverse of `tau_vector`: build from a 0/1 array of length ``4**n``."""
+        """Inverse of `tau_vector`: build from an array of ``4**n`` entries,
+        each equal to 0 or 1 (bools and floats 0.0 and 1.0 included).
+
+        Raises:
+            ValueError: if ``n`` is not an integer, the shape is not
+                ``(4**n,)``, or an entry is not 0 or 1 (the first is named).
+            CapacityError: if ``n`` is outside ``1..TAU_QUBIT_LIMIT``.
+        """
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")
         bits = np.asarray(bits)
         if bits.shape != (4**n,):
             raise ValueError(f"expected {4**n} bits for n={n}, got shape {bits.shape}")
+        ones = bits == 1
+        bad = np.flatnonzero(~ones & (bits != 0))
+        if bad.size:
+            f = int(bad[0])
+            raise ValueError(f"bit {f} is {bits[f : f + 1].tolist()[0]!r}, not 0 or 1")
+        return cls._from_bits(n, ones)
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: np.ndarray) -> "PceMap":
+        """Trusted `from_bits`, nothing checked: ``bits`` is a bool or 0/1
+        integer array of length ``4**n``."""
         packed = np.packbits(bits, bitorder="little").tobytes()
         return cls(n, int.from_bytes(packed, "little"))
 
@@ -414,7 +433,7 @@ def tau_from_spectrum(spectrum: ChoiSpectrum) -> PceMap:
         raise ValueError(
             f"not a PCE spectrum: recovered tau at flat index {f} is {value}, not 0/1"
         )
-    return PceMap.from_bits(spectrum.n, scaled == full)
+    return PceMap._from_bits(spectrum.n, scaled == full)
 
 
 def _closed_group(n: int, bits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

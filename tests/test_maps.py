@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -73,6 +74,24 @@ def test_tau_vector_layout():
     assert list(np.nonzero(v)[0]) == [0, 2, 15]
     with pytest.raises(ValueError, match=r"expected 16 bits for n=2, got shape \(15,\)"):
         PceMap.from_bits(2, v[1:])
+
+
+def test_from_bits_checks_n_first_and_takes_only_0_or_1():
+    with pytest.raises(ValueError, match=r"integer qubit count, got n=1\.5"):
+        PceMap.from_bits(1.5, [0] * 4)
+    with pytest.raises(CapacityError):
+        PceMap.from_bits(0, [1])
+    for bits, message in (
+        ([2, 0, 7, -1], "bit 0 is 2,"),
+        ([1, 0, 0.5, 1], "bit 2 is 0.5,"),
+        ([1, 0, 0, float("nan")], "bit 3 is nan,"),
+        ([1, None, 0, 0], "bit 1 is None,"),
+        (["1", "0", "0", "0"], "bit 0 is '1',"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message) + " not 0 or 1"):
+            PceMap.from_bits(1, bits)
+    for bits in ([1.0, 0.0, 0.0, 1.0], [True, False, False, True], np.array([1, 0, 0, 1], np.int8)):
+        assert PceMap.from_bits(1, bits) == PceMap(1, 0b1001)
 
 
 def test_bitmask_capacity_limits():
