@@ -30,6 +30,13 @@ JSON interchange form (shared with the CLI)::
 Both are accepted on input; output uses "basis" for channels and "preserved"
 for everything else.  A "preserved" list is decoded and written as one digit
 array, and a refusal still names the first bad entry.
+
+A single map's tau is decoded in one place, `_decode`: a bool array of
+length ``4**n`` and its set positions, ascending.  The closure decision, the
+witness scan, the span-route spectrum and every listing read those two
+arrays, so each public call decodes at most once.  The batched decision of
+`verify` decodes its masks a group at a time; both share one closure core,
+`_closed_group`.
 """
 
 from __future__ import annotations
@@ -197,9 +204,10 @@ def _check_tau(n: int, tau) -> int:
 def _tau_bits(n: int, masks) -> np.ndarray:
     """The bits of each tau bitmask (a Python int) in ``masks``, bit f in
     column f: a uint8 0/1 array of shape ``(len(masks), 4**n)`` from one
-    unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector` and
-    the dense oracle's batches both decode through it.  Trusted: every mask
-    is in ``0 .. 2**(4**n) - 1``, as in a `PceMap`.
+    unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector`
+    (and so `_decode`), `_closed_bases` and the dense oracle's batches all
+    decode through it.  Trusted: every mask is in ``0 .. 2**(4**n) - 1``, as
+    in a `PceMap`.
     """
     width = (4**n + 7) // 8
     raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
