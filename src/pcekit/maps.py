@@ -141,9 +141,9 @@ class PceMap:
         if bits.shape != (4**n,):
             raise ValueError(f"expected {4**n} bits for n={n}, got shape {bits.shape}")
         ones = bits == 1
-        bad = np.flatnonzero(~ones & (bits != 0))
-        if bad.size:
-            f = int(bad[0])
+        bad = ~ones & (bits != 0)
+        if bad.any():
+            f = int(bad.argmax())
             raise ValueError(f"bit {f} is {bits[f : f + 1].tolist()[0]!r}, not 0 or 1")
         return cls._from_bits(n, ones)
 
