@@ -13,6 +13,11 @@ rule.  `evolve` computes its rows with one `evolve_components` call per
 slice of at most ``DEFAULT_ENUMERATION_LIMIT`` values and streams them as
 CSV; with the global ``--format json`` it writes them as one JSON document,
 and `diagram`, whose own ``--format ascii|svg`` chooses the picture, exits 2.
+`collide` applies its schedule's closed form, the mask ``recompose(labels)``,
+to the state's components, so an erased component prints as exactly 0; its
+text runs to the bitmask limit (n <= 13), its JSON density matrix to the
+dense limit (n <= 5).  The dense collision circuit, `dynamics.collide`, is
+only the tests' oracle.
 
 The argparse parser is built once per process, at import (`_PARSER`); each
 `main` call only parses its arguments into a fresh namespace, so no call
@@ -28,10 +33,16 @@ import sys
 
 import numpy as np
 
-from .dense import check_report, check_state_components, pauli_components, verify_report
+from .dense import (
+    apply_pce,
+    check_report,
+    check_state_components,
+    from_pauli_components,
+    pauli_components,
+    verify_report,
+)
 from .diagram import render_ascii, render_svg
 from .dynamics import (
-    collide,
     evolve_components,
     fixed_point_components,
     process_from_json_dict,
@@ -45,9 +56,9 @@ from .errors import (
     PceError,
     TracePreservationError,
 )
-from .generators import decompose, recompose_subspace
+from .generators import decompose, recompose, recompose_subspace
 from .maps import Subspace, load_channel_document, map_to_subspace
-from .pauli import DENSE_QUBIT_LIMIT, N_MAX, check_qubits, parse_qubit_count
+from .pauli import N_MAX, parse_qubit_count
 
 
 def _fmt(x: float) -> str:
@@ -79,9 +90,9 @@ def _read_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """State document -> (n, component vector, dense matrix or None) of a
-    density matrix within ``tol`` (see `check_state_components`)."""
+def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
+    """State document -> (n, component vector) of a density matrix within
+    ``tol`` (see `check_state_components`)."""
     if not isinstance(doc, dict):
         raise ValueError('state document must be an object with an integer "n"')
     n = parse_qubit_count(doc.get("n"))
@@ -92,7 +103,8 @@ def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray, np.ndarray | No
         r = pauli_components(_parse_matrix(doc["rho"], 2**n), tol)
     else:
         raise ValueError('state document needs "components" or "rho"')
-    return n, r, check_state_components(r, tol)
+    check_state_components(r, tol)
+    return n, r
 
 
 def _finite_array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
@@ -229,7 +241,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_evolve(args) -> int:
     proc = process_from_json_dict(_read_json(args.process))
-    n, r0, _ = _load_state(_read_json(args.state), args.tol)
+    n, r0 = _load_state(_read_json(args.state), args.tol)
     if n != proc.n:
         raise DimensionMismatchError(
             f"state has n={n} but process has n={proc.n}"
@@ -285,20 +297,19 @@ def cmd_evolve(args) -> int:
 
 def cmd_collide(args) -> int:
     schedule = schedule_from_json_dict(_read_json(args.schedule))
-    n, _, rho0 = _load_state(_read_json(args.state), args.tol)
+    n, r0 = _load_state(_read_json(args.state), args.tol)
     if n != schedule.n:
         raise DimensionMismatchError(
             f"state has n={n} but schedule has n={schedule.n}"
         )
-    if rho0 is None:  # past the dense limit the state check builds no matrix
-        check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
-    rho = collide(schedule, rho0)
+    # The limits: `recompose` checks n <= 13, and the JSON matrix's
+    # `pauli_basis` n <= 5.
+    r = apply_pce(recompose(schedule.labels, n), r0)
     if args.format == "json":
-        _emit_json({"n": n, "rho": _dump_matrix(rho)})
+        _emit_json({"n": n, "rho": _dump_matrix(from_pauli_components(r))})
     else:
         print(f"n: {n}")
-        values = pauli_components(rho).tolist()
-        sys.stdout.write("".join(f"{a} {value:.12g}\n" for a, value in enumerate(values)))
+        sys.stdout.write("".join(f"{a} {value:.12g}\n" for a, value in enumerate(r.tolist())))
     return 0
 
 

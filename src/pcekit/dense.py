@@ -126,27 +126,26 @@ def purity_from_components(r: np.ndarray) -> float:
     return float(np.dot(r, r)) / 2**n
 
 
-def check_state_components(r: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
+def check_state_components(r: np.ndarray, tol: float = 1e-9) -> None:
     """Raise ValueError, naming the failed condition, unless ``r`` are the
     Pauli components of a density matrix within ``tol``.
 
     The conditions are unit trace (``r_0 = 1``) and positivity: for
-    ``n <= DENSE_QUBIT_LIMIT`` the smallest eigenvalue of the rebuilt matrix
-    is ``>= -tol`` (that matrix is returned); beyond, where no dense matrix is
-    built (None is returned), ``|r_f| <= 1`` and ``2**-n * sum_f r_f**2 <= 1``.
+    ``n <= DENSE_QUBIT_LIMIT`` the smallest eigenvalue of the matrix rebuilt
+    from ``r`` is ``>= -tol``; beyond, where no dense matrix is built,
+    ``|r_f| <= 1`` and ``2**-n * sum_f r_f**2 <= 1``.
     """
     r = np.asarray(r, dtype=float)
     n = _infer_n_components(r.size)
     if not abs(r[0] - 1) <= tol:
         raise ValueError(f"state is not unit trace: r_0 = {r[0]:.12g}, expected 1")
     if n <= DENSE_QUBIT_LIMIT:
-        rho = from_pauli_components(r)
-        lowest = np.linalg.eigvalsh(rho).min()
+        lowest = np.linalg.eigvalsh(from_pauli_components(r)).min()
         if not lowest >= -tol:
             raise ValueError(
                 f"state is not positive semidefinite: smallest eigenvalue {lowest:.12g}"
             )
-        return rho
+        return
     largest = np.abs(r).max()
     if not largest <= 1 + tol:
         raise ValueError(f"state breaks |r_f| <= 1: max |r_f| = {largest:.12g}")
@@ -157,14 +156,15 @@ def check_state_components(r: np.ndarray, tol: float = 1e-9) -> np.ndarray | Non
 
 def apply_pce(pce: PceMap, state: np.ndarray) -> np.ndarray:
     """Apply the componentwise mask; accepts a component vector or a density
-    matrix, returns the masked component vector."""
+    matrix, returns the masked component vector with every erased component
+    +0.0 (never -0.0)."""
     state = np.asarray(state)
     r = pauli_components(state) if state.ndim == 2 else state.astype(float)
     if r.size != 4**pce.n:
         raise DimensionMismatchError(
             f"state has {r.size} components, map expects {4**pce.n}"
         )
-    return r * pce.tau_vector()
+    return np.where(pce.tau_vector().view(bool), r, 0.0)
 
 
 def apply_generator_kraus(label: MultiIndex, rho: np.ndarray) -> np.ndarray:

@@ -12,6 +12,12 @@ Two physical routes to the same endpoint:
   each collision applies a fixed system-ancilla unitary and traces the
   ancilla out, reproducing one elementary channel per collision.
 
+Both routes keep exactly the components that commute with every label, and
+one rule gives them: the mask ``generators.recompose(labels)``.
+`pce_limit` and `fixed_point_components` read it, and the CLI's ``collide``
+applies it to a state's components.  `collide` here runs the dense
+system-plus-ancilla circuit and stays as the oracle for that mask.
+
 Process JSON: ``{"terms": [{"alpha": "03", "gamma": 1.0}, ...]}``.
 Schedule JSON: ``{"labels": ["03", "33"]}`` (optional ``"n"`` key, required
 when the label list is empty).
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import from_pauli_components, partial_trace, pauli_components
+from .dense import apply_pce, from_pauli_components, partial_trace, pauli_components
 from .errors import DimensionMismatchError
 from .generators import recompose
 from .maps import PceMap
@@ -170,9 +176,9 @@ def evolve(proc: DissipativeProcess, rho0: np.ndarray, t: float) -> np.ndarray:
 
 
 def fixed_point_components(proc: DissipativeProcess, r0: np.ndarray) -> np.ndarray:
-    """t -> infinity limit: keep exactly the zero-rate components."""
-    r0 = np.asarray(r0, dtype=float)
-    return r0 * (decay_rates(proc) == 0)
+    """t -> infinity limit: keep exactly the zero-rate components, the ones
+    `pce_limit` preserves."""
+    return apply_pce(pce_limit(proc), r0)
 
 
 def rk4_evolve(

@@ -516,16 +516,17 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
 def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
     good_sched = {"n": 1, "labels": ["3"]}
     good_state = {"n": 1, "components": [1, 0, 0, 0]}
-    for sched_doc, state_doc, message in (
-        ({"n": True, "labels": ["3"]}, good_state, '"n" must be an integer'),
-        ({"n": True, "labels": []}, good_state, '"n" must be an integer'),
-        ({"labels": [3]}, good_state, '"labels" must be base-4 strings'),
-        ({"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
-        (good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
-        (good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
-        ({"n": 2, "labels": ["33"]}, good_state, "state has n=1 but schedule has n=2"),
-        # A valid state beyond the dense limit has no matrix to collide.
+    for fmt, sched_doc, state_doc, message in (
+        ("text", {"n": True, "labels": ["3"]}, good_state, '"n" must be an integer'),
+        ("text", {"n": True, "labels": []}, good_state, '"n" must be an integer'),
+        ("text", {"labels": [3]}, good_state, '"labels" must be base-4 strings'),
+        ("text", {"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
+        ("text", good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
+        ("text", good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
+        ("text", {"n": 2, "labels": ["33"]}, good_state, "state has n=1 but schedule has n=2"),
+        # The JSON document is a density matrix, which stops at the dense limit.
         (
+            "json",
             {"n": 6, "labels": ["111111"]},
             {"n": 6, "components": [1] + [0] * 4095},
             "a dense matrix needs 1 <= n <= 5, got n=6",
@@ -533,7 +534,7 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
     ):
         sched = write_json(tmp_path, "sched.json", sched_doc)
         state = write_json(tmp_path, "state.json", state_doc)
-        code, out, err = run_cli(["collide", sched, state], capsys)
+        code, out, err = run_cli(["--format", fmt, "collide", sched, state], capsys)
         assert (code, out) == (2, ""), (sched_doc, state_doc)
         assert message in err
 
@@ -558,6 +559,20 @@ def test_collide_builds_the_state_matrix_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["collide", sched, state], capsys)
     assert code == 0 and out.startswith("n: 2\n")
     assert builds == [16]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_collide_text_runs_past_the_dense_limit_with_exact_values(tmp_path, capsys, n):
+    # Z on qubit 1 keeps Z1 (index 3) and erases X1 (index 1) and every
+    # component the state does not hold.
+    sched = write_json(tmp_path, "sched.json", {"n": n, "labels": ["3" + "0" * (n - 1)]})
+    state = write_json(
+        tmp_path, "state.json", {"n": n, "components": [1, 0.5, 0, 0.5] + [0] * (4**n - 4)}
+    )
+    code, out, _ = run_cli(["collide", sched, state], capsys)
+    assert code == 0
+    values = ["1", "0", "0", "0.5"] + ["0"] * (4**n - 4)
+    assert out == f"n: {n}\n" + "".join(f"{a} {v}\n" for a, v in enumerate(values))
 
 
 def test_tol_reaches_the_hermiticity_check_of_rho_states(tmp_path, capsys):

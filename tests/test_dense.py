@@ -74,6 +74,14 @@ def test_apply_pce_masks_components():
         apply_pce(PceMap.identity(1), r)
 
 
+def test_apply_pce_erases_to_positive_zero():
+    # A product r * tau would leave -0.0 where a negative component is
+    # erased, and print as "-0".
+    out = apply_pce(PceMap.depolarizing(1), np.array([1, -0.5, -0.0, -0.25]))
+    assert out.tolist() == [1, 0, 0, 0]
+    assert not np.signbit(out).any()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generator_kraus_equals_component_mask(n):
     # (rho + sigma rho sigma) / 2 erases exactly the anticommuting components.

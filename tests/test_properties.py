@@ -4,16 +4,24 @@ sign-transform references; the closure decision against full elimination,
 the batched decision against the per-mask one and a string scan, and the
 closure witness against a pair scan;
 the enumeration's unchecked subspaces against the validating constructor;
-document round trips; and the algebra of `compose`."""
+document round trips; the algebra of `compose`; and the CLI's closed-form
+`collide` against the dense collision circuit."""
 
+import contextlib
+import io
 import itertools
+import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcekit import gf2
+from pcekit.cli import main
+from pcekit.dense import pauli_components
+from pcekit.dynamics import CollisionSchedule, collide
 from pcekit.enumeration import count_channels, enumerate_subspaces
 from pcekit.errors import NotAChannelError
 from pcekit.generators import decompose, generator_map, recompose, recompose_subspace
@@ -264,3 +272,35 @@ def test_compose_is_intersection_and_a_semilattice(data):
     assert ab == compose(b, a)
     assert compose(ab, c) == compose(a, compose(b, c))
     assert compose(a, a) == a
+
+
+@PROPERTY
+@given(st.data())
+def test_collide_closed_form_equals_the_collision_circuit(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 4))
+    codes = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=5))
+    labels = [MultiIndex(n, c) for c in codes]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    r0 = pauli_components(rho)
+    keep = recompose(labels, n).tau_vector().view(bool)
+    dense = pauli_components(collide(CollisionSchedule(n, tuple(labels)), rho))
+    assert np.abs(dense - r0 * keep).max() < 1e-12
+
+    # The CLI prints the closed form: kept components as given, erased ones
+    # as exactly 0.
+    directory = tmp_path_factory.getbasetemp()
+    sched, state = directory / "collide-sched.json", directory / "collide-state.json"
+    sched.write_text(json.dumps({"n": n, "labels": [a.to_string() for a in labels]}))
+    state.write_text(json.dumps({"n": n, "components": r0.tolist()}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["collide", str(sched), str(state)]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == f"n: {n}"
+    assert lines[1:] == [
+        f"{a} {value:.12g}" if kept else f"{a} 0"
+        for a, (value, kept) in enumerate(zip(r0.tolist(), keep))
+    ]
