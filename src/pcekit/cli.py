@@ -96,13 +96,13 @@ def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
     if not isinstance(doc, dict):
         raise ValueError('state document must be an object with an integer "n"')
     n = parse_qubit_count(doc.get("n"))
+    if ("components" in doc) == ("rho" in doc):
+        raise ValueError('state document needs exactly one of "components" or "rho"')
     if "components" in doc:
         message = f'"components" must be {4**n} finite numbers'
         r = _finite_array(doc["components"], (4**n,), message)
-    elif "rho" in doc:
-        r = pauli_components(_parse_matrix(doc["rho"], 2**n), tol)
     else:
-        raise ValueError('state document needs "components" or "rho"')
+        r = pauli_components(_parse_matrix(doc["rho"], 2**n), tol)
     check_state_components(r, tol)
     return n, r
 
@@ -112,7 +112,7 @@ def _finite_array(value, shape: tuple[int, ...], message: str) -> np.ndarray:
     numbers (strings and bools are refused), else ValueError."""
     try:
         cells = np.asarray(value, dtype=object)
-        numbers = cells.shape == shape and all(type(x) in (int, float) for x in cells.flat)
+        numbers = cells.shape == shape and set(map(type, cells.flat)) <= {int, float}
         array = cells.astype(float) if numbers else None
     except (TypeError, ValueError, OverflowError):
         array = None

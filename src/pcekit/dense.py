@@ -18,8 +18,9 @@ process's first n = 3 oracle call builds the full table before gathering its
 blocks.
 
 `check_report` and `verify_report` are the CLI's ``check`` and ``verify``
-verdicts: the symbolic answers from `maps` set against this oracle by one
-rule, `_oracle_verdicts`.
+verdicts.  The symbolic answers come from `maps`, `_symbolic_report` for
+``check`` and `_closed_flags` for ``verify``; this module adds only the
+oracle, set against them by one rule, `_oracle_verdicts`.
 
 Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
 ``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
@@ -38,19 +39,14 @@ from .maps import (
     PceMap,
     Subspace,
     _check_tau,
-    _closed_basis,
-    _closed_bases,
-    _decode,
-    _first_erased_sum,
-    _spectrum_counts,
+    _closed_flags,
+    _symbolic_report,
     _tau_bits,
-    channel_spectrum,
     subspace_to_map,
 )
 from .pauli import (
     CHOI_QUBIT_LIMIT,
     DENSE_QUBIT_LIMIT,
-    TAU_QUBIT_LIMIT,
     MultiIndex,
     _PAULI_STACK,
     _kron_table,
@@ -269,39 +265,11 @@ def _oracle_verdicts(n: int, masks: list[int], symbolic_cp, tol: float):
 
 def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
     """The `check` verdict on a loaded channel document, JSON-ready (floats
-    unrounded): n, is_pce, is_channel, K (channels), popcount, witness
-    (trace-preserving non-channels), the exact spectrum (closed form for
-    channels) up to ``TAU_QUBIT_LIMIT`` and the oracle up to ``CHOI_QUBIT_LIMIT``."""
-    report: dict = {"n": obj.n}
-    if isinstance(obj, Subspace):
-        report.update(is_pce=True, is_channel=True, K=obj.dim, popcount=2**obj.dim)
-        # The bitmask feeds only the dense oracle; the spectrum is closed-form.
-        pce = subspace_to_map(obj) if obj.n <= CHOI_QUBIT_LIMIT else None
-    else:
-        pce = obj
-        present, codes = _decode(pce)  # the one decode; every answer below reads it
-        rows = _closed_basis(pce.n, present, codes)
-        report.update(is_pce=pce.is_trace_preserving, is_channel=rows is not None)
-        if rows is not None:
-            report["K"] = len(rows)
-        report["popcount"] = pce.preserved_count
-        if pce.is_trace_preserving and rows is None:
-            a, b, missing = _first_erased_sum(pce.n, present, codes)
-            report["witness"] = {
-                "pair": [a.to_string(), b.to_string()],
-                "missing": missing.to_string(),
-            }
-    if obj.n <= TAU_QUBIT_LIMIT:
-        if report["is_channel"]:
-            counts = channel_spectrum(obj.n, report["K"])
-        else:
-            counts = _spectrum_counts(pce.n, present, codes)
-        report["spectrum"] = {
-            "values": [{"value": str(v), "count": c} for v, c in counts],
-            "min": str(counts[0][0]),
-            "sum": str(sum(v * c for v, c in counts)),
-        }
+    unrounded): the symbolic answers of `maps._symbolic_report` and, up to
+    ``CHOI_QUBIT_LIMIT``, the oracle's, judged by `_oracle_verdicts`."""
+    report = _symbolic_report(obj)
     if obj.n <= CHOI_QUBIT_LIMIT:
+        pce = subspace_to_map(obj) if isinstance(obj, Subspace) else obj
         oracle = _oracle_verdicts(pce.n, [pce.tau], [report["is_channel"]], tol)
         lambda_min, cp, agrees = (x.item() for x in oracle)
         report["oracle"] = {"lambda_min": lambda_min, "cp": cp, "agrees": agrees}
@@ -313,7 +281,7 @@ def verify_report(n: int, masks, tol: float = 1e-9) -> dict:
     bitmasks: one batched closure decision and one oracle call."""
     check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
     masks = [_check_tau(n, tau) for tau in masks]
-    symbolic = np.array([rows is not None for rows in _closed_bases(n, masks)], dtype=bool)
+    symbolic = _closed_flags(n, masks)
     _, oracle, agrees = _oracle_verdicts(n, masks, symbolic, tol)
     disagreements = len(masks) - int(agrees.sum())
     return {

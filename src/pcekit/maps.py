@@ -34,9 +34,12 @@ array, and a refusal still names the first bad entry.
 A single map's tau is decoded in one place, `_decode`: a bool array of
 length ``4**n`` and its set positions, ascending.  The closure decision, the
 witness scan, the span-route spectrum and every listing read those two
-arrays, so each public call decodes at most once.  The batched decision of
-`verify` decodes its masks a group at a time; both share one closure core,
-`_closed_group`.
+arrays, so each public call decodes at most once.  `_symbolic_report` gives
+every symbolic answer of `check` (closure, K, witness, exact spectrum) from
+that one decode.  `verify`'s batched decision, `_closed_flags`, decodes its
+masks a group at a time; it and the one-map `_closed_basis` share one
+closure core, `_closed_group`.  The dense oracle asks `maps` only these two
+private questions, and adds its own verdict.
 """
 
 from __future__ import annotations
@@ -205,9 +208,9 @@ def _tau_bits(n: int, masks) -> np.ndarray:
     """The bits of each tau bitmask (a Python int) in ``masks``, bit f in
     column f: a uint8 0/1 array of shape ``(len(masks), 4**n)`` from one
     unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector`
-    (and so `_decode`), `_closed_bases` and the dense oracle's batches all
-    decode through it.  Trusted: every mask is in ``0 .. 2**(4**n) - 1``, as
-    in a `PceMap`.
+    (and so `_decode` and `_symbolic_report`), `_closed_flags` and the dense
+    oracle's batches all decode through it.  Trusted: every mask is in
+    ``0 .. 2**(4**n) - 1``, as in a `PceMap`.
     """
     width = (4**n + 7) // 8
     raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
@@ -478,16 +481,16 @@ def _closed_basis(n: int, present: np.ndarray, codes: np.ndarray) -> list[int] |
     return rows[0, ::-1].tolist() if closed[0] else None
 
 
-def _closed_bases(n: int, masks) -> list[list[int] | None]:
-    """Canonical RREF basis of each tau bitmask's preserved set, or None
-    where the mask erases tau_0 or its preserved set is not closed.
+def _closed_flags(n: int, masks) -> np.ndarray:
+    """Whether each tau bitmask keeps tau_0 and its preserved set is closed,
+    as a bool array: the batched closure decision of `verify`.
 
     The masks are grouped by popcount, and each group of trace-preserving
     masks with a power-of-two count is decoded at once and decided by one
     `_closed_group` call.  The masks are ints in ``0 .. 2**(4**n) - 1``, as
     in a `PceMap`.
     """
-    out: list[list[int] | None] = [None] * len(masks)
+    out = np.zeros(len(masks), dtype=bool)
     groups: dict[int, list[int]] = {}
     for position, tau in enumerate(masks):
         count = tau.bit_count()
@@ -496,10 +499,7 @@ def _closed_bases(n: int, masks) -> list[list[int] | None]:
     for count, positions in groups.items():
         bits = _tau_bits(n, [masks[p] for p in positions]).view(bool)
         codes = np.flatnonzero(bits).reshape(len(positions), count)
-        rows, closed = _closed_group(n, bits, codes)
-        for p, basis, ok in zip(positions, rows[:, ::-1].tolist(), closed.tolist()):
-            if ok:
-                out[p] = basis
+        out[positions] = _closed_group(n, bits, codes)[1]
     return out
 
 
@@ -558,6 +558,41 @@ def _first_erased_sum(
         if erased.size:
             a, b = int(a), int(codes[i + 1 + int(erased[0])])
             return MultiIndex(n, a), MultiIndex(n, b), MultiIndex(n, a ^ b)
+
+
+def _symbolic_report(obj: PceMap | Subspace) -> dict:
+    """The symbolic answers of `check` on a loaded channel document,
+    JSON-ready: n, is_pce, is_channel, K (channels), popcount, witness
+    (trace-preserving non-channels) and the exact spectrum up to
+    ``TAU_QUBIT_LIMIT``: `channel_spectrum` for channels, `_spectrum_counts`
+    otherwise.  A bitmask is decoded once; every answer reads that decode."""
+    report: dict = {"n": obj.n}
+    if isinstance(obj, Subspace):
+        report.update(is_pce=True, is_channel=True, K=obj.dim, popcount=2**obj.dim)
+    else:
+        present, codes = _decode(obj)
+        rows = _closed_basis(obj.n, present, codes)
+        report.update(is_pce=obj.is_trace_preserving, is_channel=rows is not None)
+        if rows is not None:
+            report["K"] = len(rows)
+        report["popcount"] = obj.preserved_count
+        if obj.is_trace_preserving and rows is None:
+            a, b, missing = _first_erased_sum(obj.n, present, codes)
+            report["witness"] = {
+                "pair": [a.to_string(), b.to_string()],
+                "missing": missing.to_string(),
+            }
+    if obj.n <= TAU_QUBIT_LIMIT:
+        if report["is_channel"]:
+            counts = channel_spectrum(obj.n, report["K"])
+        else:
+            counts = _spectrum_counts(obj.n, present, codes)
+        report["spectrum"] = {
+            "values": [{"value": str(v), "count": c} for v, c in counts],
+            "min": str(counts[0][0]),
+            "sum": str(sum(v * c for v, c in counts)),
+        }
+    return report
 
 
 def is_completely_positive(pce: PceMap | Subspace) -> bool:

@@ -483,7 +483,13 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
         (good_proc, {"n": 1, "components": [1, {}, 0, 0]}, "1.0", '"components" must be'),
         (good_proc, {"n": 1, "components": "1000"}, "1.0", '"components" must be'),
         (good_proc, {"n": 1, "components": [10**400, 0, 0, 0]}, "1.0", '"components" must be'),
-        (good_proc, {"n": 1}, "1.0", 'state document needs "components" or "rho"'),
+        (good_proc, {"n": 1}, "1.0", 'state document needs exactly one of "components" or "rho"'),
+        (
+            good_proc,
+            {"n": 1, "components": [1, 0.5, 0, 0], "rho": "junk"},
+            "1.0",
+            'state document needs exactly one of "components" or "rho"',
+        ),
         (good_proc, {"n": 1, "rho": {"a": 1}}, "1.0", '"rho" must be'),
         (good_proc, {"n": 1, "rho": [[[1, 0], [0, 0]], [[0, 0]]]}, "1.0", '"rho" must be'),
         # JSON strings and bools are not numbers.
@@ -524,6 +530,12 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
         ("text", good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
         ("text", good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
         ("text", {"n": 2, "labels": ["33"]}, good_state, "state has n=1 but schedule has n=2"),
+        (
+            "text",
+            good_sched,
+            {"n": 1, "components": [1, 0, 0, 0], "rho": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            'state document needs exactly one of "components" or "rho"',
+        ),
         # The JSON document is a density matrix, which stops at the dense limit.
         (
             "json",
@@ -645,13 +657,13 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
     import pcekit.maps as maps
 
     calls = {"batches": 0, "masks": 0, "maps": 0, "checks": 0}
-    closed_bases, post_init = maps._closed_bases, maps.PceMap.__post_init__
+    closed_flags, post_init = maps._closed_flags, maps.PceMap.__post_init__
     check_tau = maps._check_tau
 
-    def counting_closed_bases(n, masks):
+    def counting_closed_flags(n, masks):
         calls["batches"] += 1
         calls["masks"] += len(masks)
-        return closed_bases(n, masks)
+        return closed_flags(n, masks)
 
     def counting_post_init(self):
         calls["maps"] += 1
@@ -661,7 +673,7 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
         calls["checks"] += 1
         return check_tau(n, tau)
 
-    monkeypatch.setattr(dense, "_closed_bases", counting_closed_bases)
+    monkeypatch.setattr(dense, "_closed_flags", counting_closed_flags)
     monkeypatch.setattr(maps.PceMap, "__post_init__", counting_post_init)
     monkeypatch.setattr(dense, "_check_tau", counting_check_tau)
     for argv, count in ((["verify", "2"], 2**15), (["verify", "3", "--samples", "50"], 50)):

@@ -156,7 +156,6 @@ def test_map_to_subspace_error_names_witness():
 
 
 def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, tmp_path):
-    import pcekit.dense as dense
     import pcekit.gf2 as gf2
     import pcekit.maps as maps
     from pcekit.cli import main
@@ -182,7 +181,6 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         return rref(vectors)
 
     monkeypatch.setattr(maps, "_closed_basis", counting_closed_basis)
-    monkeypatch.setattr(dense, "_closed_basis", counting_closed_basis)
     monkeypatch.setattr(maps, "_tau_bits", counting_tau_bits)
     monkeypatch.setattr(gf2, "rref", counting_rref)
     for call, expected in (

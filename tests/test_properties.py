@@ -2,7 +2,8 @@
 recompose and closed-form Choi spectrum against independent per-index, fold and
 sign-transform references; the closure decision against full elimination,
 the batched decision against the per-mask one and a string scan, and the
-closure witness against a pair scan;
+closure witness against a pair scan; `check`'s report against the public
+routes;
 the enumeration's unchecked subspaces against the validating constructor;
 document round trips; the algebra of `compose`; and the CLI's closed-form
 `collide` against the dense collision circuit."""
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from pcekit import gf2
 from pcekit.cli import main
-from pcekit.dense import pauli_components
+from pcekit.dense import check_report, pauli_components
 from pcekit.dynamics import CollisionSchedule, collide
 from pcekit.enumeration import count_channels, enumerate_subspaces
 from pcekit.errors import NotAChannelError
@@ -28,7 +29,7 @@ from pcekit.generators import decompose, generator_map, recompose, recompose_sub
 from pcekit.maps import (
     PceMap,
     _closed_basis,
-    _closed_bases,
+    _closed_flags,
     _decode,
     Subspace,
     channel_spectrum,
@@ -184,10 +185,64 @@ DEPENDENT_ROWS = sum(1 << f for f in (0, 2, 4, 5, 6, 7, 8, 9))
 @example((2, [DEPENDENT_ROWS, 0b1011, DEPENDENT_ROWS - 1, 0b1111]))
 def test_batched_closure_decision_equals_per_mask_decision_and_string_scan(case):
     n, masks = case
-    got = _closed_bases(n, masks)
-    assert got == [string_scan_closed_basis(n, m) for m in masks]
-    assert got == [_closed_basis(n, *_decode(PceMap(n, m))) for m in masks]
-    assert _closed_bases(n, []) == []
+    bases = [_closed_basis(n, *_decode(PceMap(n, m))) for m in masks]
+    assert bases == [string_scan_closed_basis(n, m) for m in masks]
+    flags = _closed_flags(n, masks)
+    assert flags.dtype == bool
+    assert flags.tolist() == [basis is not None for basis in bases]
+    assert _closed_flags(n, []).tolist() == []
+
+
+@st.composite
+def report_maps(draw):
+    """Masks on n = 1..8 that `check` reports on: channels, near-channels
+    (members erased or indices added), sparse random masks, and any of these
+    with tau_0 erased.  Near-channels at n = 8 take the span route."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["channel", "erase", "add", "sparse"]))
+    if kind == "sparse":
+        indices = {0, *draw(st.lists(st.integers(0, 4**n - 1), max_size=20))}
+    else:
+        indices = set(draw(subspaces(n=n)).members())
+        flips = draw(st.lists(st.integers(1, 4**n - 1), min_size=1, max_size=3))
+        members = sorted(indices)[1:]
+        if kind == "erase" and members:
+            indices.difference_update(members[f % len(members)] for f in flips)
+        elif kind == "add":
+            indices.update(flips)
+    pce = PceMap.from_preserved(n, indices)
+    if draw(st.integers(0, 3)) == 3:
+        pce = PceMap(n, pce.tau & ~1)
+    return pce
+
+
+REPORT_KEYS = ("n", "is_pce", "is_channel", "K", "popcount", "witness", "spectrum", "oracle")
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(report_maps())
+def test_check_report_equals_the_public_routes(pce):
+    report = check_report(pce)
+    assert list(report) == [key for key in REPORT_KEYS if key in report]
+    assert (report["popcount"], report["is_pce"]) == (pce.preserved_count, pce.is_trace_preserving)
+    counts = choi_spectrum(pce).value_counts()
+    assert report["spectrum"]["values"] == [{"value": str(v), "count": c} for v, c in counts]
+    assert report["spectrum"]["min"] == str(counts[0][0])
+    if not pce.is_trace_preserving:
+        assert not report["is_channel"]
+        assert "K" not in report and "witness" not in report
+        return
+    assert report["is_channel"] == is_closed_subspace(pce)
+    witness = closure_witness(pce)
+    if witness is not None:
+        a, b, missing = (idx.to_string() for idx in witness)
+        witness = {"pair": [a, b], "missing": missing}
+    assert report.get("witness") == witness
+    if report["is_channel"]:
+        channel = map_to_subspace(pce)
+        assert report["K"] == channel.dim
+        # The basis form of the same channel gets the same report.
+        assert check_report(channel) == report
 
 
 def reference_witness(m):
