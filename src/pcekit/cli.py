@@ -9,15 +9,18 @@ digits, and every command is byte-deterministic given its arguments.
 The CLI parses arguments and documents and formats results.  The verdicts
 come from the library: `check`'s report from `dense.check_report` and
 `verify`'s counts from `dense.verify_report`, both judged by one oracle
-rule.  `evolve` computes its rows with one `evolve_components` call per
-slice of at most ``DEFAULT_ENUMERATION_LIMIT`` values and streams them as
-CSV; with the global ``--format json`` it writes them as one JSON document,
-and `diagram`, whose own ``--format ascii|svg`` chooses the picture, exits 2.
-`collide` applies its schedule's closed form, the mask ``recompose(labels)``,
-to the state's components, so an erased component prints as exactly 0; its
-text runs to the bitmask limit (n <= 13), its JSON density matrix to the
-dense limit (n <= 5).  The dense collision circuit, `dynamics.collide`, is
-only the tests' oracle.
+rule.  `evolve` and `collide` read their state through one loader,
+`_load_state`, which also checks its qubit count against the process or
+schedule.  `evolve` computes its rows in one loop, one `evolve_components`
+call per slice of at most ``DEFAULT_ENUMERATION_LIMIT`` values, and streams
+them as CSV; with the global ``--format json`` it writes its one slice as a
+JSON document and refuses a trajectory that needs more.  `diagram`, whose own
+``--format ascii|svg`` chooses the picture, exits 2 under ``--format json``.
+`collide` prints `dynamics.fixed_point_components(schedule, r0)`, the function
+that also gives a process's t -> infinity state: the components that commute
+with every label are kept, the rest print as exactly 0.  Its text runs to the
+bitmask limit (n <= 13), its JSON density matrix to the dense limit (n <= 5).
+The dense collision circuit, `dynamics.collide`, is only the tests' oracle.
 
 The argparse parser is built once per process, at import (`_PARSER`); each
 `main` call only parses its arguments into a fresh namespace, so no call
@@ -34,7 +37,6 @@ import sys
 import numpy as np
 
 from .dense import (
-    apply_pce,
     check_report,
     check_state_components,
     from_pauli_components,
@@ -56,7 +58,7 @@ from .errors import (
     PceError,
     TracePreservationError,
 )
-from .generators import decompose, recompose, recompose_subspace
+from .generators import decompose, recompose_subspace
 from .maps import Subspace, load_channel_document, map_to_subspace
 from .pauli import N_MAX, parse_qubit_count
 
@@ -90,9 +92,12 @@ def _read_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
-    """State document -> (n, component vector) of a density matrix within
-    ``tol`` (see `check_state_components`)."""
+def _load_state(path: str, tol: float, kind: str, qubits: int) -> tuple[int, np.ndarray]:
+    """The state document at ``path`` -> (n, component vector) of a density
+    matrix within ``tol`` (see `check_state_components`), refused unless n is
+    ``qubits``, the qubit count of the ``kind`` ("process" or "schedule") it
+    goes through."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError('state document must be an object with an integer "n"')
     n = parse_qubit_count(doc.get("n"))
@@ -104,6 +109,8 @@ def _load_state(doc: dict, tol: float) -> tuple[int, np.ndarray]:
     else:
         r = pauli_components(_parse_matrix(doc["rho"], 2**n), tol)
     check_state_components(r, tol)
+    if n != qubits:
+        raise DimensionMismatchError(f"state has n={n} but {kind} has n={qubits}")
     return n, r
 
 
@@ -241,11 +248,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_evolve(args) -> int:
     proc = process_from_json_dict(_read_json(args.process))
-    n, r0 = _load_state(_read_json(args.state), args.tol)
-    if n != proc.n:
-        raise DimensionMismatchError(
-            f"state has n={n} but process has n={proc.n}"
-        )
+    n, r0 = _load_state(args.state, args.tol, "process", proc.n)
     # Checked here, before any output, with messages that name the options;
     # every time args.t * i / args.steps with i <= args.steps is then finite.
     if args.steps < 1:
@@ -255,56 +258,51 @@ def cmd_evolve(args) -> int:
     if not args.t * args.steps < math.inf:
         raise ValueError(f"time * --steps must be finite, got {args.t!r} * {args.steps}")
     fixed = fixed_point_components(proc, r0)
-    if args.format == "json":
-        # The document holds the whole trajectory, so its size is bounded
-        # like --samples.
-        values = (args.steps + 1) * 4**n
-        if values > DEFAULT_ENUMERATION_LIMIT:
-            raise ValueError(
-                f"--steps {args.steps} at n={n} makes {values} values; "
-                f"evolve's JSON holds at most {DEFAULT_ENUMERATION_LIMIT}"
-            )
-        times = args.t * np.arange(args.steps + 1) / args.steps
+    # One evolve_components call per slice of at most DEFAULT_ENUMERATION_LIMIT
+    # values (one row per slice past n = 11).  The text rows stream; the JSON
+    # document is the one slice, so its size is bounded like --samples.
+    per_call = max(1, DEFAULT_ENUMERATION_LIMIT // 4**n)
+    text = args.format == "text"
+    if not text and args.steps + 1 > per_call:
+        raise ValueError(
+            f"--steps {args.steps} at n={n} makes {(args.steps + 1) * 4**n} values; "
+            f"evolve's JSON holds at most {DEFAULT_ENUMERATION_LIMIT}"
+        )
+    if text:
+        print("t,alpha,r")
+    for start in range(0, args.steps + 1, per_call):
+        stop = min(start + per_call, args.steps + 1)
+        times = args.t * np.arange(start, stop) / args.steps
         rows = evolve_components(proc, r0, times)
+        if text:
+            # One write per row, with t formatted once and the values inline in
+            # `_fmt`'s format: printing value by value cost more than the propagator.
+            for t, row in zip(times.tolist(), rows):
+                head = _fmt(t)
+                sys.stdout.write(
+                    "".join(f"{head},{a},{value:.12g}\n" for a, value in enumerate(row.tolist()))
+                )
+    distance = float(np.abs(rows[-1] - fixed).max())
+    if text:
+        print(f"# max_abs_distance_to_fixed_point = {_fmt(distance)}")
+    else:
         _emit_json(
             {
                 "n": n,
                 "t": times.tolist(),
                 "r": rows.tolist(),
-                "max_abs_distance_to_fixed_point": float(np.abs(rows[-1] - fixed).max()),
+                "max_abs_distance_to_fixed_point": distance,
             }
         )
-        return 0
-    print("t,alpha,r")
-    # The text rows stream: one evolve_components call per slice of at most
-    # DEFAULT_ENUMERATION_LIMIT values (one row per slice past n = 11).
-    per_call = max(1, DEFAULT_ENUMERATION_LIMIT // 4**n)
-    for start in range(0, args.steps + 1, per_call):
-        stop = min(start + per_call, args.steps + 1)
-        times = args.t * np.arange(start, stop) / args.steps
-        rows = evolve_components(proc, r0, times)
-        for t, row in zip(times.tolist(), rows):
-            # One write per row, with t formatted once and the values inline in
-            # `_fmt`'s format: printing value by value cost more than the propagator.
-            head = _fmt(t)
-            sys.stdout.write(
-                "".join(f"{head},{a},{value:.12g}\n" for a, value in enumerate(row.tolist()))
-            )
-    distance = float(np.abs(rows[-1] - fixed).max())
-    print(f"# max_abs_distance_to_fixed_point = {_fmt(distance)}")
     return 0
 
 
 def cmd_collide(args) -> int:
     schedule = schedule_from_json_dict(_read_json(args.schedule))
-    n, r0 = _load_state(_read_json(args.state), args.tol)
-    if n != schedule.n:
-        raise DimensionMismatchError(
-            f"state has n={n} but schedule has n={schedule.n}"
-        )
+    n, r0 = _load_state(args.state, args.tol, "schedule", schedule.n)
     # The limits: `recompose` checks n <= 13, and the JSON matrix's
     # `pauli_basis` n <= 5.
-    r = apply_pce(recompose(schedule.labels, n), r0)
+    r = fixed_point_components(schedule, r0)
     if args.format == "json":
         _emit_json({"n": n, "rho": _dump_matrix(from_pauli_components(r))})
     else:

@@ -14,9 +14,11 @@ Two physical routes to the same endpoint:
 
 Both routes keep exactly the components that commute with every label, and
 one rule gives them: the mask ``generators.recompose(labels)``.
-`pce_limit` and `fixed_point_components` read it, and the CLI's ``collide``
-applies it to a state's components.  `collide` here runs the dense
-system-plus-ancilla circuit and stays as the oracle for that mask.
+`pce_limit` and `fixed_point_components` read it from a process or a
+schedule alike, so a process's t -> infinity state and a schedule's output
+(the CLI's ``collide`` prints ``fixed_point_components(schedule, r0)``) come
+from one function.  `collide` here runs the dense system-plus-ancilla circuit
+and stays as the oracle for that mask.
 
 Process JSON: ``{"terms": [{"alpha": "03", "gamma": 1.0}, ...]}``.
 Schedule JSON: ``{"labels": ["03", "33"]}`` (optional ``"n"`` key, required
@@ -83,6 +85,10 @@ class DissipativeProcess:
             raise DimensionMismatchError("process labels have mixed qubit counts")
         if any(not 0 < g < math.inf for g in self.gammas):
             raise ValueError("all rates must be positive and finite")
+        # No component decays faster than all terms together, so every decay
+        # rate is finite.
+        if not sum(self.gammas) < math.inf:
+            raise ValueError("the rates must add up to a finite number")
 
     @classmethod
     def from_terms(cls, terms) -> "DissipativeProcess":
@@ -167,7 +173,9 @@ def evolve_components(
         raise DimensionMismatchError(
             f"state has {r0.size} components, process expects {4**proc.n}"
         )
-    return r0 * np.exp(np.multiply.outer(-times, decay_rates(proc)))
+    # A product past the float range is -inf, and exp gives its exact 0.
+    with np.errstate(over="ignore"):
+        return r0 * np.exp(np.multiply.outer(-times, decay_rates(proc)))
 
 
 def evolve(proc: DissipativeProcess, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -175,9 +183,13 @@ def evolve(proc: DissipativeProcess, rho0: np.ndarray, t: float) -> np.ndarray:
     return from_pauli_components(evolve_components(proc, pauli_components(rho0), t))
 
 
-def fixed_point_components(proc: DissipativeProcess, r0: np.ndarray) -> np.ndarray:
-    """t -> infinity limit: keep exactly the zero-rate components, the ones
-    `pce_limit` preserves."""
+def fixed_point_components(
+    proc: DissipativeProcess | CollisionSchedule, r0: np.ndarray
+) -> np.ndarray:
+    """The components that commute with every label, the ones `pce_limit`
+    preserves; the rest are erased to 0.  For a process this is the
+    t -> infinity limit (the zero-rate components), for a schedule its
+    output.  Reads only ``.n`` and ``.labels``."""
     return apply_pce(pce_limit(proc), r0)
 
 
@@ -232,9 +244,10 @@ def collide(schedule: CollisionSchedule, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def pce_limit(proc: DissipativeProcess) -> PceMap:
-    """The channel reached at t -> infinity: every label's term has a positive
-    rate, so it is the composition of the labels' elementary channels."""
+def pce_limit(proc: DissipativeProcess | CollisionSchedule) -> PceMap:
+    """The composition of the labels' elementary channels: a schedule's
+    channel, and the channel a process reaches at t -> infinity, since every
+    label's term has a positive rate.  Reads only ``.n`` and ``.labels``."""
     return recompose(proc.labels, proc.n)
 
 

@@ -404,14 +404,22 @@ def test_evolve_streams_its_text_rows_in_slices(tmp_path, capsys, monkeypatch):
     calls = []
     evolve = cli.evolve_components
     monkeypatch.setattr(cli, "evolve_components", lambda *a: calls.append(a) or evolve(*a))
-    for limit, rows_per_call in ((40, 2), (10, 1)):
+    # At 128 the 8 rows are one slice, so JSON holds exactly the text rows.
+    for limit, rows_per_call in ((128, 8), (40, 2), (10, 1)):
         monkeypatch.setattr(cli, "DEFAULT_ENUMERATION_LIMIT", limit)
         calls.clear()
         assert run_cli(argv, capsys)[:2] == (0, whole)
         assert [len(a[2]) for a in calls] == [rows_per_call] * (8 // rows_per_call)
         code, out, err = run_cli(["--format", "json", *argv], capsys)
-        assert (code, out) == (2, "")
-        assert f"--steps 7 at n=2 makes 128 values; evolve's JSON holds at most {limit}" in err
+        if rows_per_call == 8:
+            assert code == 0
+            doc = json.loads(out)
+            assert len(doc["r"]) == 8
+            assert [f"{t:.12g},{a},{v:.12g}" for t, row in zip(doc["t"], doc["r"])
+                    for a, v in enumerate(row)] == whole.splitlines()[1:-1]
+        else:
+            assert (code, out) == (2, "")
+            assert f"--steps 7 at n=2 makes 128 values; evolve's JSON holds at most {limit}" in err
 
 
 def test_evolve_zero_time_echoes_initial_state(tmp_path, capsys):
@@ -503,6 +511,14 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
         ({"terms": [{"alpha": 3, "gamma": True}]}, good_state, "1.0", '"alpha" must be'),
         ({"terms": [{"alpha": "3", "gamma": True}]}, good_state, "1.0", "finite number"),
         ({"terms": [{"alpha": "3", "gamma": "1"}]}, good_state, "1.0", "finite number"),
+        # Each rate is finite, but they add up to inf: Y, which anticommutes
+        # with both terms, would decay at an infinite rate.
+        (
+            {"terms": [{"alpha": "1", "gamma": 1e308}, {"alpha": "3", "gamma": 1e308}]},
+            good_state,
+            "1.0",
+            "the rates must add up to a finite number",
+        ),
         # States must be density matrices: unit trace, positive semidefinite,
         # and beyond the dense limit |r_f| <= 1 and purity <= 1.
         (good_proc, {"n": 1, "rho": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}, "1.0", "unit trace"),

@@ -51,6 +51,12 @@ def test_process_validation():
         DissipativeProcess.from_terms([("3", 0.0)])
     with pytest.raises(ValueError):
         DissipativeProcess.from_terms([("3", float("inf"))])
+    # Each rate is finite, but Y anticommutes with both terms: its decay rate
+    # would be inf, and evolve_components would compute -0.0 * inf at t = 0.
+    with pytest.raises(ValueError, match="the rates must add up to a finite number"):
+        DissipativeProcess.from_terms([("1", 1e308), ("3", 1e308)])
+    proc = DissipativeProcess.from_terms([("1", 1e308), ("3", 7e307)])
+    assert np.isfinite(decay_rates(proc)).all()
     with pytest.raises(DimensionMismatchError):
         DissipativeProcess.from_terms([("3", 1.0), ("33", 1.0)])
     with pytest.raises(ValueError, match="labels and gammas must have equal length"):
@@ -180,6 +186,9 @@ def test_long_time_limit_is_the_composed_channel_fixed_point():
     assert limit_channel == PceMap.from_preserved(2, [0, 3, 12, 15])
     fixed = fixed_point_components(proc, r0)
     assert np.array_equal(fixed, apply_pce(limit_channel, r0))
+    # A schedule with the same labels reaches the same components.
+    schedule = CollisionSchedule(2, proc.labels)
+    assert np.array_equal(fixed_point_components(schedule, r0), fixed)
     # gamma t = 50 is numerically "infinite" at tolerance 1e-10.
     assert np.abs(evolve_components(proc, r0, 50.0) - fixed).max() < 1e-10
     # And the fixed point really is stationary.
@@ -288,3 +297,12 @@ def test_schedule_json_round_trip():
         CollisionSchedule(17, ())
     with pytest.raises(DimensionMismatchError, match="schedule labels have mixed qubit counts"):
         CollisionSchedule(2, (MultiIndex(2, 3), MultiIndex(1, 3)))
+
+
+def test_evolve_components_past_the_float_range_decays_to_exact_zero():
+    # t * rate = 2e308 leaves the float range: the decayed components are
+    # exactly 0, with no overflow warning (the suite turns one into an error).
+    proc = DissipativeProcess.from_terms([("1", 1e308)])
+    r0 = np.array([1.0, 0.5, -0.25, 0.5])
+    out = evolve_components(proc, r0, np.array([0.0, 2.0]))
+    assert np.array_equal(out, [r0, [1.0, 0.5, 0.0, 0.0]])
