@@ -6,10 +6,17 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pcekit.cli import _round12, main
 from pcekit.dense import check_report
+from pcekit.dynamics import (
+    evolve_components,
+    fixed_point_components,
+    process_from_json_dict,
+    schedule_from_json_dict,
+)
 from pcekit.maps import choi_spectrum, closure, load_channel_document, subspace_to_map
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -601,6 +608,61 @@ def test_collide_text_runs_past_the_dense_limit_with_exact_values(tmp_path, caps
     assert code == 0
     values = ["1", "0", "0", "0.5"] + ["0"] * (4**n - 4)
     assert out == f"n: {n}\n" + "".join(f"{a} {v}\n" for a, v in enumerate(values))
+
+
+def seeded_components(rng, n):
+    """A unit-trace state's components over many magnitudes, with signed
+    zeros among them.  The components off 0 add up to 0.9 in absolute value,
+    so every eigenvalue is at least 0.1 / 2**n."""
+    r = rng.uniform(-1, 1, 4**n) * 10.0 ** rng.uniform(-9, 0, 4**n)
+    r *= 0.9 / np.abs(r[1:]).sum()
+    r[0] = 1.0
+    r[2::7] = -0.0
+    r[3::11] = 0.0
+    return r
+
+
+def random_labels(rng, n, count):
+    return ["".join(rng.choice(list("0123"), n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n, steps", [(1, 20), (2, 5), (3, 3), (4, 2), (5, 2), (9, None)])
+def test_evolve_and_collide_text_equal_one_f_string_per_value(tmp_path, capsys, n, steps):
+    # The expected text is built from the library's own answers, one
+    # f-string per value.  It is compared as text and not pinned by a digest:
+    # exp may differ by an ulp between numpy builds.
+    rng = np.random.default_rng(2025 + n)
+    r0 = seeded_components(rng, n)
+    state = write_json(tmp_path, "state.json", {"n": n, "components": r0.tolist()})
+    sched_doc = {"n": n, "labels": random_labels(rng, n, int(rng.integers(0, 4)))}
+    sched = write_json(tmp_path, "sched.json", sched_doc)
+    code, out, _ = run_cli(["collide", sched, state], capsys)
+    r = fixed_point_components(schedule_from_json_dict(sched_doc), r0)
+    assert code == 0
+    assert out == f"n: {n}\n" + "".join(f"{a} {v:.12g}\n" for a, v in enumerate(r.tolist()))
+    if steps is None:
+        return
+    proc_doc = {
+        "terms": [
+            {"alpha": alpha, "gamma": float(rng.uniform(0.05, 4.0))}
+            for alpha in random_labels(rng, n, 3)
+        ]
+    }
+    proc = write_json(tmp_path, "proc.json", proc_doc)
+    code, out, _ = run_cli(["evolve", proc, state, "2.5", "--steps", str(steps)], capsys)
+    process = process_from_json_dict(proc_doc)
+    times = 2.5 * np.arange(steps + 1) / steps
+    rows = evolve_components(process, r0, times)
+    distance = float(np.abs(rows[-1] - fixed_point_components(process, r0)).max())
+    expected = "".join(
+        f"{t:.12g},{a},{v:.12g}\n"
+        for t, row in zip(times.tolist(), rows.tolist())
+        for a, v in enumerate(row)
+    )
+    assert code == 0
+    assert out == (
+        f"t,alpha,r\n{expected}# max_abs_distance_to_fixed_point = {distance:.12g}\n"
+    )
 
 
 def test_tol_reaches_the_hermiticity_check_of_rho_states(tmp_path, capsys):
