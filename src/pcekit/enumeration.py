@@ -5,8 +5,9 @@ subspace is the Gaussian binomial coefficient counting K-dimensional
 subspaces of GF(2)^(2n).  Enumeration generates canonical RREF bases
 directly — choose the pivot columns, then fill the free entries — so each
 subspace appears exactly once, with no filtering of raw subsets.  The rows
-are canonical by construction, so the generated subspaces are not
-re-validated.
+are canonical by construction, so each basis goes through the one trusted
+constructor, `Subspace._canonical`: it fills the two slots of the frozen
+`Subspace` through their descriptors and checks nothing.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def _generate(n: int, K: int) -> Iterator[Subspace]:
     it, in ascending order.  The product of the rows' candidates, first row
     outermost, lists every RREF basis with those pivots in the documented
     order.  The rows are canonical by construction, so each basis goes
-    through the trusted `Subspace._canonical` and is not re-validated.  For
-    K = 0 the one empty pivot set gives the one empty basis.
+    through `Subspace._canonical`, which sets the slots ``n`` and ``basis``
+    and validates nothing, one call per basis.  For K = 0 the one empty
+    pivot set gives the one empty basis.
     """
     canonical = Subspace._canonical
     for pivot_set in itertools.combinations(range(2 * n), K):

@@ -226,14 +226,15 @@ def _decode(pce: PceMap) -> tuple[np.ndarray, np.ndarray]:
     return present, np.flatnonzero(present)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A GF(2) subspace of multi-index space — equivalently, a PCE channel.
 
     ``basis`` holds packed multi-index codes in canonical RREF form (pivots
     descending); the empty tuple is the zero subspace (totally depolarizing
     channel).  Canonical form is unique per subspace, so equality of
-    `Subspace` values is equality of channels.
+    `Subspace` values is equality of channels.  The fields live in slots,
+    with no per-instance ``__dict__``.
     """
 
     n: int
@@ -248,10 +249,12 @@ class Subspace:
     @classmethod
     def _canonical(cls, n: int, basis: tuple[int, ...]) -> "Subspace":
         """Trusted constructor: ``basis`` must already be canonical RREF for a
-        qubit count that passed `check_qubits`.  Nothing is checked."""
+        qubit count that passed `check_qubits`.  Nothing is checked; the
+        fields are filled through their slot descriptors, which the frozen
+        ``__setattr__`` does not guard."""
         subspace = object.__new__(cls)
-        object.__setattr__(subspace, "n", n)
-        object.__setattr__(subspace, "basis", basis)
+        _set_n(subspace, n)
+        _set_basis(subspace, basis)
         return subspace
 
     @classmethod
@@ -273,6 +276,11 @@ class Subspace:
 
     def basis_indices(self) -> list[MultiIndex]:
         return [MultiIndex(self.n, v) for v in self.basis]
+
+
+# The slot setters of `Subspace._canonical`, bound once.
+_set_n = Subspace.n.__set__
+_set_basis = Subspace.basis.__set__
 
 
 @dataclass(frozen=True, eq=False)

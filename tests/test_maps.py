@@ -1,6 +1,9 @@
 """PCE maps: bitmask/basis forms, Choi spectra, closure, documents."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcekit.enumeration import count_channels, enumerate_subspaces
 from pcekit.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -370,6 +374,26 @@ def test_subspace_canonicalization_and_equality():
             Subspace(2, rows)
     with pytest.raises(ValueError):
         Subspace(1, (4,))  # out of range
+
+
+def test_subspace_is_a_frozen_slots_value():
+    rng = random.Random(25)
+    for n, K in ((1, 0), (1, 2), (2, 3), (4, 5), (9, 7), (16, 20)):
+        basis = closure(n, [rng.randrange(4**n) for _ in range(K)]).basis
+        trusted, checked = Subspace._canonical(n, basis), Subspace(n, basis)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked) == f"Subspace(n={n}, basis={basis!r})"
+        assert not hasattr(trusted, "__dict__")
+        for field, value in (("n", n + 1), ("basis", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trusted, field, value)
+        assert (trusted.n, trusted.basis) == (n, basis)
+        for copied in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted)):
+            assert copied == trusted and hash(copied) == hash(trusted)
+            assert repr(copied) == repr(trusted)
+    # Enumerated subspaces and their checked copies fall together in a set.
+    stream = list(enumerate_subspaces(2, 2))
+    assert len(set(stream + [Subspace(s.n, s.basis) for s in stream])) == count_channels(2, 2)
 
 
 def test_indices_entering_must_be_integers_in_range():
