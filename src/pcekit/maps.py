@@ -36,7 +36,8 @@ length ``4**n`` and its set positions, ascending.  The closure decision, the
 witness scan, the span-route spectrum and every listing read those two
 arrays, so each public call decodes at most once.  `_symbolic_report` gives
 every symbolic answer of `check` (closure, K, witness, exact spectrum) from
-that one decode.  `verify`'s batched decision, `_closed_flags`, decodes its
+that one decode, and lists the set positions only when an answer reads
+them.  `verify`'s batched decision, `_closed_flags`, decodes its
 masks a group at a time; it and the one-map `_closed_basis` share one
 closure core, `_closed_group`.  The dense oracle asks `maps` only these two
 private questions, and adds its own verdict.
@@ -217,13 +218,13 @@ def _tau_bits(n: int, masks) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * width)[:, : 4**n]
 
 
-def _decode(pce: PceMap) -> tuple[np.ndarray, np.ndarray]:
+def _decode(pce: PceMap, listed: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The one decode of a single map: tau as a bool array of length
-    ``4**n``, and its set positions, ascending, as one int64 array.  The
-    closure decision, the witness scan, the Choi spectrum and every listing
-    of a single map read these two arrays."""
+    ``4**n``, and its set positions, ascending, as one int64 array (None
+    unless ``listed``).  The closure decision, the witness scan, the Choi
+    spectrum and every listing of a single map read these two arrays."""
     present = pce.tau_vector().view(bool)
-    return present, np.flatnonzero(present)
+    return present, np.flatnonzero(present) if listed else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,7 +363,9 @@ def _spectrum_counts(
 ) -> list[tuple[Fraction, int]]:
     """``choi_spectrum(pce).value_counts()`` of the map that `_decode` decoded
     into ``present`` and ``codes``, transformed over the span of the
-    preserved set S rather than over all ``4**n`` indices.
+    preserved set S rather than over all ``4**n`` indices.  If ``codes`` is
+    None, the span route lists the set positions itself; the tau-vector
+    route never reads them.
 
     The numerator at f is ``sum_{g in S} (-1)**omega(f, g)``, with omega the
     symplectic product.  It depends on f only through the D products
@@ -377,9 +380,9 @@ def _spectrum_counts(
     """
     bits = present.view(np.uint8)
     m = n
-    # Above 4**(n - 1) codes, D >= 2n - 1, so m = n anyway.
-    if n >= _SPAN_MIN_QUBITS and codes.size <= 4 ** (n - 1):
-        found = _span_coordinates(n, codes)
+    # Above 4**(n - 1) set positions, D >= 2n - 1, so m = n anyway.
+    if n >= _SPAN_MIN_QUBITS and np.count_nonzero(bits) <= 4 ** (n - 1):
+        found = _span_coordinates(n, np.flatnonzero(bits) if codes is None else codes)
         if found is not None:
             m = (found[0] + 1) // 2
             bits = np.zeros(4**m, np.uint8)
@@ -481,8 +484,9 @@ def _closed_group(n: int, bits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarr
 
 def _closed_basis(n: int, present: np.ndarray, codes: np.ndarray) -> list[int] | None:
     """Canonical RREF basis of the preserved set of the map that `_decode`
-    decoded into ``present`` and ``codes``; None where tau_0 is erased or the
-    set is not closed.  The one-map call of `_closed_group`."""
+    decoded into ``present`` and ``codes``; None where tau_0 is erased (then
+    ``codes`` is not read) or the set is not closed.  The one-map call of
+    `_closed_group`."""
     if not present[0] or codes.size & (codes.size - 1):
         return None
     rows, closed = _closed_group(n, present, codes[None])
@@ -573,12 +577,15 @@ def _symbolic_report(obj: PceMap | Subspace) -> dict:
     JSON-ready: n, is_pce, is_channel, K (channels), popcount, witness
     (trace-preserving non-channels) and the exact spectrum up to
     ``TAU_QUBIT_LIMIT``: `channel_spectrum` for channels, `_spectrum_counts`
-    otherwise.  A bitmask is decoded once; every answer reads that decode."""
+    otherwise.  A bitmask is decoded once; every answer reads that decode.
+    Its set positions are listed there only for a trace-preserving map: with
+    tau_0 erased there is no closure or witness to find, and only the
+    spectrum's span route reads them."""
     report: dict = {"n": obj.n}
     if isinstance(obj, Subspace):
         report.update(is_pce=True, is_channel=True, K=obj.dim, popcount=2**obj.dim)
     else:
-        present, codes = _decode(obj)
+        present, codes = _decode(obj, listed=obj.is_trace_preserving)
         rows = _closed_basis(obj.n, present, codes)
         report.update(is_pce=obj.is_trace_preserving, is_channel=rows is not None)
         if rows is not None:

@@ -675,11 +675,29 @@ def spectrum_maps(draw):
 @given(spectrum_maps())
 def test_spectrum_counts_equal_the_full_spectrum(pce):
     expected = choi_spectrum(pce).value_counts()
-    assert _spectrum_counts(pce.n, *_decode(pce)) == expected
-    # The span route at every n, not only at n >= _SPAN_MIN_QUBITS.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(maps, "_SPAN_MIN_QUBITS", 1)
-        assert _spectrum_counts(pce.n, *_decode(pce)) == expected
+    for listed in (True, False):
+        assert _spectrum_counts(pce.n, *_decode(pce, listed)) == expected
+        # The span route at every n, not only at n >= _SPAN_MIN_QUBITS.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(maps, "_SPAN_MIN_QUBITS", 1)
+            assert _spectrum_counts(pce.n, *_decode(pce, listed)) == expected
+
+
+def test_check_of_a_map_without_tau_0_lists_no_set_positions():
+    # The dense n = 10 map with tau_0 erased takes the tau-vector route: its
+    # 4**10 - 1 set positions would be 8 MiB of int64 that nothing reads.
+    pce = PceMap(10, (1 << 4**10) - 2)
+    tracemalloc.start()
+    try:
+        report = maps._symbolic_report(pce)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report["is_pce"], report["is_channel"], report["popcount"]) == (False, False, 4**10 - 1)
+    assert "witness" not in report
+    values = [{"value": str(v), "count": c} for v, c in choi_spectrum(pce).value_counts()]
+    assert report["spectrum"]["values"] == values
+    assert peak < 21 << 20
 
 
 def test_near_channel_spectrum_transforms_only_the_span():
