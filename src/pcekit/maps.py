@@ -359,7 +359,7 @@ _SPAN_MIN_QUBITS = 8
 
 
 def _spectrum_counts(
-    n: int, present: np.ndarray, codes: np.ndarray
+    n: int, present: np.ndarray, codes: np.ndarray | None
 ) -> list[tuple[Fraction, int]]:
     """``choi_spectrum(pce).value_counts()`` of the map that `_decode` decoded
     into ``present`` and ``codes``, transformed over the span of the
@@ -482,7 +482,7 @@ def _closed_group(n: int, bits: np.ndarray, codes: np.ndarray) -> tuple[np.ndarr
     return rows, closed
 
 
-def _closed_basis(n: int, present: np.ndarray, codes: np.ndarray) -> list[int] | None:
+def _closed_basis(n: int, present: np.ndarray, codes: np.ndarray | None) -> list[int] | None:
     """Canonical RREF basis of the preserved set of the map that `_decode`
     decoded into ``present`` and ``codes``; None where tau_0 is erased (then
     ``codes`` is not read) or the set is not closed.  The one-map call of
