@@ -266,12 +266,21 @@ def _oracle_verdicts(n: int, masks: list[int], symbolic_cp, tol: float):
 def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
     """The `check` verdict on a loaded channel document, JSON-ready (floats
     unrounded): the symbolic answers of `maps._symbolic_report` and, up to
-    ``CHOI_QUBIT_LIMIT``, the oracle's, judged by `_oracle_verdicts`."""
+    ``CHOI_QUBIT_LIMIT``, the oracle's, judged by `_oracle_verdicts`.
+
+    The oracle's ``lambda_min`` is reported as the nearest multiple of
+    ``2**-n`` (``0``, never ``-0``) when it lies within ``1e-9`` of one, so
+    rounding noise does not reach the output; a value off that grid is
+    reported as solved.  ``cp`` and ``agrees`` judge the solved value."""
     report = _symbolic_report(obj)
     if obj.n <= CHOI_QUBIT_LIMIT:
         pce = subspace_to_map(obj) if isinstance(obj, Subspace) else obj
         oracle = _oracle_verdicts(pce.n, [pce.tau], [report["is_channel"]], tol)
         lambda_min, cp, agrees = (x.item() for x in oracle)
+        # Every Choi eigenvalue of a PCE map is an integer over 2**n.
+        grid = round(lambda_min * 2**pce.n) / 2**pce.n
+        if abs(lambda_min - grid) <= 1e-9:
+            lambda_min = grid
         report["oracle"] = {"lambda_min": lambda_min, "cp": cp, "agrees": agrees}
     return report
 

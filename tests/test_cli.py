@@ -177,6 +177,34 @@ def test_check_zero_map_oracle_agrees(n, tmp_path, capsys):
     assert doc["oracle"] == {"lambda_min": 0.0, "cp": True, "agrees": True}
 
 
+def test_check_prints_the_oracle_lambda_min_on_the_dyadic_grid(tmp_path, capsys):
+    # Tau mask 51: the solved lambda_min is rounding noise near 0, which the
+    # 12-digit output used to print.
+    path = write_json(tmp_path, "mask51.json", {"n": 2, "preserved": ["00", "10", "01", "11"]})
+    code, out, _ = run_cli(["check", path], capsys)
+    assert code == 0
+    assert "oracle_lambda_min: 0" in out.splitlines()
+    code, out, _ = run_cli(["--format", "json", "check", path], capsys)
+    assert code == 0
+    assert '"lambda_min": 0.0,' in out.splitlines()[-5]
+
+
+def test_check_report_snaps_lambda_min_but_judges_the_solved_value(monkeypatch):
+    pce = load_channel_document({"n": 2, "preserved": ["00", "30", "03", "33"]})
+    for solved, tol, reported, cp in (
+        (-0.0, 1e-9, 0.0, True),
+        (-5e-10, 1e-12, 0.0, False),  # printed 0, yet not CP at this --tol
+        (0.2500000004, 1e-9, 0.25, True),
+        (-2e-9, 1e-9, -2e-9, False),  # off the grid: printed as solved
+    ):
+        monkeypatch.setattr(
+            "pcekit.dense._choi_min_eigenvalues", lambda n, masks: np.array([solved])
+        )
+        oracle = check_report(pce, tol)["oracle"]
+        assert (oracle["lambda_min"], oracle["cp"], oracle["agrees"]) == (reported, cp, cp)
+        assert str(oracle["lambda_min"]) == str(reported)
+
+
 def test_check_reports_channel_spectra_without_the_sign_transform(
     tmp_path, capsys, monkeypatch
 ):
