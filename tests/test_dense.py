@@ -189,12 +189,12 @@ def _seeded_masks(n: int, count: int, seed: int) -> list[int]:
 
 
 def _reference_block_min_eigenvalues(n: int, masks) -> np.ndarray:
-    """``choi_dense`` of each mask, rows and columns permuted into
-    (parity, system) order, its 2**n diagonal blocks solved in one batch."""
+    """The real part of ``choi_dense`` of each mask, rows and columns permuted
+    into (parity, system) order, its 2**n diagonal blocks solved in one batch."""
     order, dim = _block_order(n), 2**n
     blocks = []
     for m in masks:
-        choi = choi_dense(PceMap(n, m))[np.ix_(order, order)]
+        choi = choi_dense(PceMap(n, m)).real[np.ix_(order, order)]
         blocks.extend(choi[b * dim : (b + 1) * dim, b * dim : (b + 1) * dim] for b in range(dim))
     lowest = np.linalg.eigvalsh(np.stack(blocks))[:, 0]
     return lowest.reshape(len(masks), dim).min(axis=1)
@@ -207,21 +207,37 @@ def test_choi_basis_terms_are_block_diagonal_by_qubit_parity(n):
     assert not terms[:, _off_block(n)].any()
 
 
-# sha256 of `_choi_block_terms(n).tobytes()` as built by a per-qubit
-# (digit, parity) `_kron_table` chain before the blocks were gathered.
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_basis_terms_are_real(n):
+    # Every entry of kron(P, P*) is a product of conjugate pairs.
+    assert not choi_basis_terms(n).imag.any()
+
+
+def test_choi_block_terms_refuse_terms_with_an_imaginary_part(monkeypatch):
+    terms = choi_basis_terms(1) + 0
+    terms[1, 0, 0] += 1e-300j
+    monkeypatch.setattr("pcekit.dense.choi_basis_terms", lambda n: terms)
+    with pytest.raises(ArithmeticError, match="nonzero imaginary part"):
+        _choi_block_terms.__wrapped__(1)
+
+
+# sha256 of the real part of `_choi_block_terms(n)`, as the complex table
+# was built by a per-qubit (digit, parity) `_kron_table` chain before the
+# blocks were gathered.
 _CHOI_BLOCK_DIGESTS = {
-    1: "736cc00efe16926fdb9f882f8fdc4ca758b33ef909ca2bb9ece85ba0e57b687c",
-    2: "cf4bbba3d807040e61e4ef6ac856bca8cb57887c83d4e529998188cec523afbf",
-    3: "a6bfae5b66042733efaf4956791b67814660529fb2d4d496328b08a65d327a9b",
+    1: "ebfd827b81a7da1ff619139a7122aa96df663296cbf2ffbd291107ecdb7ee41b",
+    2: "71feb53f44edae9c313078f3d463458612697bd598cc15069315dda18ccc614e",
+    3: "6c468173cece2ecf76b61a0e695c4b6942c85748dc1e71906ae5398b774b5747",
 }
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_choi_block_terms_are_the_permuted_blocks_of_the_full_terms(n):
     blocks, dim = _choi_block_terms(n), 2**n
+    assert blocks.dtype == np.float64
     assert hashlib.sha256(blocks.tobytes()).hexdigest() == _CHOI_BLOCK_DIGESTS[n]
     assert blocks.flags.c_contiguous and not blocks.flags.writeable
-    terms, order = choi_basis_terms(n), _block_order(n).reshape(dim, dim)
+    terms, order = choi_basis_terms(n).real, _block_order(n).reshape(dim, dim)
     for p in range(dim):
         # `_block_order` sorts the parity bits qubit 1 first, the blocks qubit n.
         rows = order[int(f"{p:0{n}b}"[::-1], 2)]
@@ -236,6 +252,23 @@ def test_choi_min_eigenvalues_bytes_equal_permuted_dense_blocks(n):
     masks += _seeded_masks(n, 0 if n == 1 else 300, 31 + n)
     got = choi_min_eigenvalues(n, masks)
     assert got.tobytes() == _reference_block_min_eigenvalues(n, masks).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_min_eigenvalues_do_not_depend_on_the_batch(n):
+    # Each distinct block is solved once per chunk; a mask's value keeps its
+    # bytes alone, among copies of itself, and shuffled into a mixed batch
+    # that spans several chunks (2048 masks at n <= 2, 256 at n = 3).
+    rng = np.random.default_rng(7 + n)
+    masks = list(range(16)) if n == 1 else _seeded_masks(n, 40, 50 + n)
+    masks += [0, 1, (1 << 4**n) - 1]
+    alone = np.concatenate([choi_min_eigenvalues(n, [m]) for m in masks])
+    copies = choi_min_eigenvalues(n, [m for m in masks for _ in range(3)])
+    assert copies.tobytes() == np.repeat(alone, 3).tobytes()
+    mixed = masks * (3000 // len(masks) if n <= 2 else 10)
+    order = rng.permutation(len(mixed))
+    got = choi_min_eigenvalues(n, [mixed[i] for i in order])
+    assert got.tobytes() == alone[order % len(masks)].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
