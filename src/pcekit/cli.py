@@ -362,7 +362,8 @@ def _tolerance(text: str) -> float:
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {text}")
     # The dense solvers' rounding noise on a channel's lambda_min reaches
-    # about -7e-16; a tolerance below it reads working channels as not CP.
+    # about -1.5e-15 (every channel up to n = 3, real block solves); a
+    # tolerance below it reads working channels as not CP.
     if value < 1e-12:
         raise argparse.ArgumentTypeError(
             f"must be at least 1e-12, above the dense solvers' rounding noise, got {text}"

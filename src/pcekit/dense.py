@@ -13,9 +13,12 @@ copy bit, so a Choi matrix is block-diagonal in the basis ordered by (parity
 bits, system bits): ``2**n`` blocks of size ``2**n``.  `choi_min_eigenvalues`
 builds and solves those blocks only; `choi_basis_terms` is the one table of
 Choi terms, from which the blocks are gathered entry for entry, and
-`choi_dense` keeps the full ``4**n x 4**n`` form as the reference.  A fresh
-process's first n = 3 oracle call builds the full table before gathering its
-blocks.
+`choi_dense` keeps the full complex ``4**n x 4**n`` form as the reference.  A
+fresh process's first n = 3 oracle call builds the full table before gathering
+its blocks.  Every term is real, so the blocks are gathered from the table's
+real part and solved with real ``eigvalsh``; a PCE map is a Pauli channel
+(its Choi matrix is diagonal in the Bell basis), so blocks repeat across
+masks, and each distinct block of a batch chunk is solved once.
 
 `check_report` and `verify_report` are the CLI's ``check`` and ``verify``
 verdicts.  The symbolic answers come from `maps`, `_symbolic_report` for

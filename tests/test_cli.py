@@ -825,7 +825,7 @@ def test_tolerance_must_be_nonnegative_and_finite(capsys):
 
 
 def test_tolerance_must_be_above_rounding_noise(capsys):
-    # Channels' dense lambda_min reaches about -7e-16 in rounding noise.
+    # Channels' dense lambda_min reaches about -1.5e-15 in rounding noise.
     for tol in ("0", "1e-16", "9.9e-13"):
         with pytest.raises(SystemExit) as exc:
             main([f"--tol={tol}", "verify", "2"])
