@@ -257,14 +257,13 @@ def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
     chunk = 2048 if n <= 2 else 256
     out = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
-        tau = _tau_bits(n, masks[start : start + chunk]).astype(float)
-        blocks = (tau @ terms).reshape(len(tau) * 2**n, 4**n) / 2**n
+        blocks = (_tau_bits(n, masks[start : start + chunk]) / 2**n) @ terms
         # Pauli channels repeat blocks heavily (946 distinct among the
         # 131,072 of the trace-preserving n = 2 masks).  Keys are the exact
         # bytes, so -0.0 and 0.0 differ and each value is what solving its
         # own block gives.  This is np.unique's sort and first-of-run marks,
         # without the fixed cost that a one-mask `check` would pay.
-        keys = blocks.view(np.dtype((np.void, blocks.itemsize * 4**n)))[:, 0]
+        keys = blocks.view(np.dtype((np.void, blocks.itemsize * 4**n))).ravel()
         order = keys.argsort()
         keys = keys[order]
         first = np.ones(len(keys), dtype=bool)
@@ -272,7 +271,7 @@ def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
         solved = np.linalg.eigvalsh(keys[first].view(float).reshape(-1, 2**n, 2**n))
         lowest = np.empty(len(keys))
         lowest[order] = solved[:, 0][first.cumsum() - 1]
-        out[start : start + len(tau)] = lowest.reshape(len(tau), 2**n).min(axis=1)
+        out[start : start + len(blocks)] = lowest.reshape(len(blocks), 2**n).min(axis=1)
     return out
 
 
