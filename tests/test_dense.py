@@ -221,9 +221,8 @@ def test_choi_block_terms_refuse_terms_with_an_imaginary_part(monkeypatch):
         _choi_block_terms.__wrapped__(1)
 
 
-# sha256 of the real part of `_choi_block_terms(n)`, as the complex table
-# was built by a per-qubit (digit, parity) `_kron_table` chain before the
-# blocks were gathered.
+# sha256 of the real part of the block table built as a complex per-qubit
+# (digit, parity) `_kron_table` chain, before the blocks were gathered.
 _CHOI_BLOCK_DIGESTS = {
     1: "ebfd827b81a7da1ff619139a7122aa96df663296cbf2ffbd291107ecdb7ee41b",
     2: "71feb53f44edae9c313078f3d463458612697bd598cc15069315dda18ccc614e",
