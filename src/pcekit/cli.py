@@ -11,16 +11,21 @@ come from the library: `check`'s report from `dense.check_report` and
 `verify`'s counts from `dense.verify_report`, both judged by one oracle
 rule.  `evolve` and `collide` read their state through one loader,
 `_load_state`, which also checks its qubit count against the process or
-schedule.  `evolve` computes its rows in one loop, one `evolve_components`
-call per slice of at most ``DEFAULT_ENUMERATION_LIMIT`` values, and streams
-them as CSV; with the global ``--format json`` it writes its one slice as a
-JSON document and refuses a trajectory that needs more.  `diagram`, whose own
+schedule; a ``"rho"`` state is turned into components and checked there, as
+components are.  `evolve` computes its rows in one loop, one
+`evolve_components` call per slice of at most ``DEFAULT_ENUMERATION_LIMIT``
+values, and streams them as CSV, each row formatted ``_ROW_SLICE`` values at
+a time; with the global ``--format json`` it writes its one slice as a JSON
+document and refuses a trajectory that needs more.  `diagram`, whose own
 ``--format ascii|svg`` chooses the picture, exits 2 under ``--format json``.
 `collide` prints `dynamics.fixed_point_components(schedule, r0)`, the function
 that also gives a process's t -> infinity state: the components that commute
 with every label are kept, the rest print as exactly 0.  Its text runs to the
-bitmask limit (n <= 13), its JSON density matrix to the dense limit (n <= 5).
+bitmask limit (n <= 13), its JSON density matrix to the state limit (n <= 10).
 The dense collision circuit, `dynamics.collide`, is only the tests' oracle.
+`verify` draws its samples lazily, a `VERIFY_CHUNK` of masks at a time, and
+`verify_report` decides them a chunk at a time.  No command builds the 4**n
+table of dense Pauli strings (`pauli_basis`).
 
 The argparse parser is built once per process, at import (`_PARSER`); each
 `main` call only parses its arguments into a fresh namespace, so no call
@@ -37,6 +42,7 @@ import sys
 import numpy as np
 
 from .dense import (
+    VERIFY_CHUNK,
     check_report,
     check_state_components,
     from_pauli_components,
@@ -67,15 +73,22 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _indexed_lines(pattern: str, values: list[float]) -> str:
-    """One line per value, ``pattern % (index, value)``, by one ``%`` on the
-    repeated pattern: per-value formatting cost more than the propagator.
-    ``%.12g`` prints what `_fmt` prints for every float."""
-    items = [0] * (2 * len(values))
-    items[::2] = range(len(values))
-    items[1::2] = values
-    items = tuple(items)  # the list is freed before the text is built
-    return pattern * len(values) % items
+# Values per write of `_write_indexed_lines`.
+_ROW_SLICE = 1 << 16
+
+
+def _write_indexed_lines(pattern: str, row: np.ndarray) -> None:
+    """One line per value, ``pattern % (index, value)``, written by one ``%``
+    on the repeated pattern per slice of ``_ROW_SLICE`` values: per-value
+    formatting cost more than the propagator, and the slice bounds the text
+    held at once.  ``%.12g`` prints what `_fmt` prints for every float."""
+    for start in range(0, len(row), _ROW_SLICE):
+        values = row[start : start + _ROW_SLICE].tolist()
+        items = [0] * (2 * len(values))
+        items[::2] = range(start, start + len(values))
+        items[1::2] = values
+        items = tuple(items)  # the list is freed before the text is built
+        sys.stdout.write(pattern * len(values) % items)
 
 
 def _round12(value):
@@ -286,9 +299,9 @@ def cmd_evolve(args) -> int:
         times = args.t * np.arange(start, stop) / args.steps
         rows = evolve_components(proc, r0, times)
         if text:
-            # One write per row; `_fmt`'s digits hold no "%".
+            # `_fmt`'s digits hold no "%".
             for t, row in zip(times.tolist(), rows):
-                sys.stdout.write(_indexed_lines(_fmt(t) + ",%d,%.12g\n", row.tolist()))
+                _write_indexed_lines(_fmt(t) + ",%d,%.12g\n", row)
     distance = float(np.abs(rows[-1] - fixed).max())
     if text:
         print(f"# max_abs_distance_to_fixed_point = {_fmt(distance)}")
@@ -307,15 +320,25 @@ def cmd_evolve(args) -> int:
 def cmd_collide(args) -> int:
     schedule = schedule_from_json_dict(_read_json(args.schedule))
     n, r0 = _load_state(args.state, args.tol, "schedule", schedule.n)
-    # The limits: `recompose` checks n <= 13, and the JSON matrix's
-    # `pauli_basis` n <= 5.
+    # The limits: `recompose` checks n <= 13, and `from_pauli_components`
+    # the JSON matrix's n <= STATE_QUBIT_LIMIT (10).
     r = fixed_point_components(schedule, r0)
     if args.format == "json":
         _emit_json({"n": n, "rho": _dump_matrix(from_pauli_components(r))})
     else:
         print(f"n: {n}")
-        sys.stdout.write(_indexed_lines("%d %.12g\n", r.tolist()))
+        _write_indexed_lines("%d %.12g\n", r)
     return 0
+
+
+def _sampled_masks(seed: int, count: int):
+    """``count`` seeded uniform 64-bit tau masks with tau_0 set, drawn lazily
+    ``VERIFY_CHUNK`` at a time, the chunk `verify_report` reads: the same
+    masks as one draw of ``count``."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, VERIFY_CHUNK):
+        size = min(VERIFY_CHUNK, count - start)
+        yield from (rng.integers(0, 2**64, size=size, dtype=np.uint64) | 1).tolist()
 
 
 def cmd_verify(args) -> int:
@@ -331,12 +354,11 @@ def cmd_verify(args) -> int:
         count = 10000 if args.samples is None else args.samples
         if count < 1:
             raise ValueError("--samples must be at least 1")
-        # Refused before any draw: a larger count would only exhaust memory.
+        # Refused before any draw.  Memory does not grow with the count (see
+        # `_sampled_masks`); the ceiling bounds the run time.
         if count > DEFAULT_ENUMERATION_LIMIT:
             raise ValueError(f"--samples must be at most {DEFAULT_ENUMERATION_LIMIT}")
-        rng = np.random.default_rng(args.seed)
-        draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
-        masks = [int(d) | 1 for d in draws]
+        masks = _sampled_masks(args.seed, count)
         mode = f"sampled (seed {args.seed})"
     result = {"n": args.n, "mode": mode, **verify_report(args.n, masks, args.tol)}
     if args.format == "json":

@@ -23,16 +23,28 @@ masks, and each distinct block of a batch chunk is solved once.
 `check_report` and `verify_report` are the CLI's ``check`` and ``verify``
 verdicts.  The symbolic answers come from `maps`, `_symbolic_report` for
 ``check`` and `_closed_flags` for ``verify``; this module adds only the
-oracle, set against them by one rule, `_oracle_verdicts`.
+oracle, set against them by one rule, `_oracle_verdicts`.  `verify_report`
+reads its masks ``VERIFY_CHUNK`` at a time.
 
-Dense limits (``pauli.DENSE_QUBIT_LIMIT`` and ``pauli.CHOI_QUBIT_LIMIT``):
-``n <= 5`` for state-sized matrices, ``n <= 3`` for Choi matrices (``4**n``
-dimensional).
+A state's components and its matrix are one change of basis that factors by
+qubit: `pauli_components` and `from_pauli_components` apply a 4 x 4 table of
+the single-qubit Pauli matrices along each of the n axes, then one transpose
+(Hantzko, Binkowski & Gupta, arXiv:2310.13421), with no table of all 4**n
+strings.  One Hermitian rule, `_check_hermitian`, and one positivity rule,
+`_lowest_eigenvalue`, serve both the state checks and
+`is_positive_semidefinite`.
+
+Dense limits (``pauli.STATE_QUBIT_LIMIT``, ``pauli.DENSE_QUBIT_LIMIT`` and
+``pauli.CHOI_QUBIT_LIMIT``): ``n <= 10`` for a state's matrix, from and to
+components; ``n <= 5`` for the 4**n dense Pauli strings that
+`pauli_transfer_matrix` reads (`pauli.pauli_basis`); ``n <= 3`` for Choi
+matrices (``4**n`` dimensional).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -49,7 +61,7 @@ from .maps import (
 )
 from .pauli import (
     CHOI_QUBIT_LIMIT,
-    DENSE_QUBIT_LIMIT,
+    STATE_QUBIT_LIMIT,
     MultiIndex,
     _PAULI_STACK,
     _kron_table,
@@ -73,6 +85,7 @@ __all__ = [
     "choi_min_eigenvalues",
     "check_report",
     "verify_report",
+    "VERIFY_CHUNK",
     "choi_pauli_vector",
     "partial_trace",
     "qc_channel",
@@ -87,7 +100,7 @@ def _infer_n(dim: int, what: str) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"{what} dimension {dim} is not a power of two")
-    check_qubits(n, DENSE_QUBIT_LIMIT, "a dense matrix")
+    check_qubits(n, STATE_QUBIT_LIMIT, "a dense matrix")
     return n
 
 
@@ -98,24 +111,65 @@ def _infer_n_components(size: int) -> int:
     return n
 
 
+def _check_hermitian(matrix: np.ndarray, tol: float, what: str) -> None:
+    """The one Hermitian rule: ValueError naming ``what`` unless ``matrix``
+    equals its conjugate transpose within ``tol``."""
+    if np.abs(matrix - matrix.conj().T).max() > tol:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+
+
+def _lowest_eigenvalue(matrix: np.ndarray, tol: float) -> tuple[float, bool]:
+    """The one positivity rule: a Hermitian matrix's smallest eigenvalue, and
+    whether it is ``>= -tol``."""
+    lowest = np.linalg.eigvalsh(matrix).min()
+    return lowest, bool(lowest >= -tol)
+
+
+# Per-qubit tables of the change of basis, indexed [digit, 2 * row + column]
+# one way and [2 * row + column, digit] the other: r_f = tr(rho P_f) reads
+# P_f transposed, and the rebuild's 2**-n is a factor 1/2 per qubit (exact).
+_TO_COMPONENTS = _PAULI_STACK.transpose(2, 1, 0).reshape(4, 4)
+_FROM_COMPONENTS = _PAULI_STACK.reshape(4, 4) / 2
+
+
+def _per_qubit(t: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """``t``, of shape ``(4,) * n``, times ``table`` along every axis.  Each
+    tensordot contracts the first axis and appends its image last, so after n
+    of them the axes are back in their order."""
+    for _ in range(n):
+        t = np.tensordot(t, table, axes=(0, 0))
+    return t
+
+
+def _qubit_pairs(n: int) -> list[int]:
+    """The axes of a ``(2,) * 2n`` matrix (row bits, then column bits, qubit 1
+    first) as (row, column) pairs, qubit n first: the order of a component
+    vector's ``(4,) * n`` axes."""
+    return [axis for k in reversed(range(n)) for axis in (k, n + k)]
+
+
 def pauli_components(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Expansion coefficients ``r_f = tr(rho P_f)`` over all Pauli strings.
+    """Expansion coefficients ``r_f = tr(rho P_f)`` over all Pauli strings,
+    contracted one qubit at a time with the 4 x 2 x 2 Pauli stack.
 
     Raises:
         ValueError: if ``rho`` is not Hermitian within ``tol``.
     """
     rho = np.asarray(rho, dtype=complex)
     n = _infer_n(rho.shape[0], "density matrix")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    return np.einsum("aij,ji->a", pauli_basis(n), rho).real
+    _check_hermitian(rho, tol, "density matrix")
+    t = rho.reshape((2,) * 2 * n).transpose(_qubit_pairs(n)).reshape((4,) * n)
+    return _per_qubit(t, _TO_COMPONENTS, n).real.ravel()
 
 
 def from_pauli_components(r: np.ndarray) -> np.ndarray:
-    """Reconstruct the density matrix ``2**-n * sum_f r_f P_f``."""
+    """Reconstruct the density matrix ``2**-n * sum_f r_f P_f``, one qubit at
+    a time (``n <= STATE_QUBIT_LIMIT``)."""
     r = np.asarray(r, dtype=float)
     n = _infer_n_components(r.size)
-    return np.einsum("a,aij->ij", r, pauli_basis(n)) / 2**n
+    check_qubits(n, STATE_QUBIT_LIMIT, "a dense matrix")
+    t = _per_qubit(r.reshape((4,) * n), _FROM_COMPONENTS, n).reshape((2,) * 2 * n)
+    return t.transpose(np.argsort(_qubit_pairs(n))).reshape(2**n, 2**n)
 
 
 def purity_from_components(r: np.ndarray) -> float:
@@ -130,17 +184,17 @@ def check_state_components(r: np.ndarray, tol: float = 1e-9) -> None:
     Pauli components of a density matrix within ``tol``.
 
     The conditions are unit trace (``r_0 = 1``) and positivity: for
-    ``n <= DENSE_QUBIT_LIMIT`` the smallest eigenvalue of the matrix rebuilt
+    ``n <= STATE_QUBIT_LIMIT`` the smallest eigenvalue of the matrix rebuilt
     from ``r`` is ``>= -tol``; beyond, where no dense matrix is built,
-    ``|r_f| <= 1`` and ``2**-n * sum_f r_f**2 <= 1``.
+    ``|r_f| <= 1`` and ``2**-n * sum_f r_f**2 <= 1``, which do not imply it.
     """
     r = np.asarray(r, dtype=float)
     n = _infer_n_components(r.size)
     if not abs(r[0] - 1) <= tol:
         raise ValueError(f"state is not unit trace: r_0 = {r[0]:.12g}, expected 1")
-    if n <= DENSE_QUBIT_LIMIT:
-        lowest = np.linalg.eigvalsh(from_pauli_components(r)).min()
-        if not lowest >= -tol:
+    if n <= STATE_QUBIT_LIMIT:
+        lowest, positive = _lowest_eigenvalue(from_pauli_components(r), tol)
+        if not positive:
             raise ValueError(
                 f"state is not positive semidefinite: smallest eigenvalue {lowest:.12g}"
             )
@@ -275,6 +329,11 @@ def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
     return out
 
 
+# Masks per `verify_report` chunk; `cli.cmd_verify` draws its samples as many
+# at a time.
+VERIFY_CHUNK = 1 << 16
+
+
 def _oracle_verdicts(n: int, masks: list[int], symbolic_cp, tol: float):
     """The one oracle rule: per mask, ``(lambda_min, cp, agrees)`` with
     ``cp = lambda_min >= -tol``.  The oracle agrees with the symbolic verdict
@@ -310,17 +369,23 @@ def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
 
 
 def verify_report(n: int, masks, tol: float = 1e-9) -> dict:
-    """The symbolic CP verdict against the dense oracle on a batch of tau
-    bitmasks: one batched closure decision and one oracle call."""
+    """The symbolic CP verdict against the dense oracle on an iterable of tau
+    bitmasks, read ``VERIFY_CHUNK`` at a time: per chunk one batched closure
+    decision and one oracle call, the counts added up, so memory does not
+    grow with the number of masks."""
     check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
-    masks = [_check_tau(n, tau) for tau in masks]
-    symbolic = _closed_flags(n, masks)
-    _, oracle, agrees = _oracle_verdicts(n, masks, symbolic, tol)
-    disagreements = len(masks) - int(agrees.sum())
+    masks = iter(masks)
+    counts = np.zeros(4, dtype=np.int64)
+    while chunk := [_check_tau(n, tau) for tau in itertools.islice(masks, VERIFY_CHUNK)]:
+        symbolic = _closed_flags(n, chunk)
+        _, oracle, agrees = _oracle_verdicts(n, chunk, symbolic, tol)
+        counts += [len(chunk), symbolic.sum(), oracle.sum(), agrees.sum()]
+    checked, cp_symbolic, cp_oracle, agreed = counts.tolist()
+    disagreements = checked - agreed
     return {
-        "maps_checked": len(masks),
-        "cp_symbolic": int(symbolic.sum()),
-        "cp_oracle": int(oracle.sum()),
+        "maps_checked": checked,
+        "cp_symbolic": cp_symbolic,
+        "cp_oracle": cp_oracle,
         "disagreements": disagreements,
         "verdict": "PASS" if disagreements == 0 else "FAIL",
     }
@@ -444,6 +509,5 @@ def is_positive_semidefinite(matrix: np.ndarray, tol: float = 1e-9) -> bool:
         ValueError: if the matrix is not Hermitian within ``tol``.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    if np.abs(matrix - matrix.conj().T).max() > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return bool(np.linalg.eigvalsh(matrix).min() >= -tol)
+    _check_hermitian(matrix, tol, "matrix")
+    return _lowest_eigenvalue(matrix, tol)[1]

@@ -41,6 +41,7 @@ __all__ = [
     "N_MAX",
     "TAU_QUBIT_LIMIT",
     "DENSE_QUBIT_LIMIT",
+    "STATE_QUBIT_LIMIT",
     "CHOI_QUBIT_LIMIT",
     "DIAGRAM_QUBIT_LIMIT",
     "check_qubits",
@@ -61,7 +62,8 @@ __all__ = [
 # Qubit limits, one per representation; `check_qubits` enforces them.
 N_MAX = 16  # symbolic (basis) form: packed codes fit in 32 bits
 TAU_QUBIT_LIMIT = 13  # bitmask form: 4**n bits per map
-DENSE_QUBIT_LIMIT = 5  # dense 2**n x 2**n matrices
+DENSE_QUBIT_LIMIT = 5  # dense Pauli strings, their 4**n table, collisions
+STATE_QUBIT_LIMIT = 10  # one 2**n x 2**n state matrix, built qubit by qubit
 CHOI_QUBIT_LIMIT = 3  # dense 4**n x 4**n Choi matrices
 DIAGRAM_QUBIT_LIMIT = 3  # grid diagrams; larger maps have only the JSON form
 

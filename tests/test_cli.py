@@ -10,14 +10,20 @@ import numpy as np
 import pytest
 
 from pcekit.cli import _round12, main
-from pcekit.dense import check_report
+from pcekit.dense import apply_pce, check_report, from_pauli_components
 from pcekit.dynamics import (
     evolve_components,
     fixed_point_components,
     process_from_json_dict,
     schedule_from_json_dict,
 )
-from pcekit.maps import choi_spectrum, closure, load_channel_document, subspace_to_map
+from pcekit.maps import (
+    PceMap,
+    choi_spectrum,
+    closure,
+    load_channel_document,
+    subspace_to_map,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -509,7 +515,9 @@ def test_evolve_dimension_mismatch_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
+def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
+    import pcekit.dense
+
     good_proc = {"n": 1, "terms": [{"alpha": "3", "gamma": 1.0}]}
     good_state = {"n": 1, "components": [1.0, 0.5, 0.0, 0.5]}
     cases = [
@@ -554,20 +562,37 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys):
             "1.0",
             "the rates must add up to a finite number",
         ),
-        # States must be density matrices: unit trace, positive semidefinite,
-        # and beyond the dense limit |r_f| <= 1 and purity <= 1.
+        # States must be density matrices: unit trace, positive semidefinite
+        # up to the state limit, and beyond it |r_f| <= 1 and purity <= 1.
         (good_proc, {"n": 1, "rho": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}, "1.0", "unit trace"),
         (good_proc, {"n": 1, "rho": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, "1.0", "unit trace"),
         (good_proc, {"n": 1, "components": [1, 0.8, 0, 0.8]}, "1.0", "positive semidefinite"),
+        # Qubit 1's Bloch vector has length 1.56; |r_f| and purity pass.
+        (
+            {"n": 6, "terms": [{"alpha": "300000", "gamma": 1.0}]},
+            {"n": 6, "components": [1, 0.9, 0.9, 0.9] + [0] * 4092},
+            "1.0",
+            "state is not positive semidefinite",
+        ),
+    ]
+    heuristic_cases = [
         (good_proc, {"n": 6, "components": [1, 2] + [0] * 4094}, "1.0", "|r_f| <= 1"),
         (good_proc, {"n": 6, "components": [1] + [0.5] * 4095}, "1.0", "purity <= 1"),
     ]
-    for proc_doc, state_doc, t, message in cases:
-        proc = write_json(tmp_path, "proc.json", proc_doc)
-        state = write_json(tmp_path, "state.json", state_doc)
-        code, out, err = run_cli(["evolve", proc, state, t], capsys)
-        assert (code, out) == (2, ""), (proc_doc, state_doc, t)
-        assert message in err, err
+
+    def refused(cases):
+        for proc_doc, state_doc, t, message in cases:
+            proc = write_json(tmp_path, "proc.json", proc_doc)
+            state = write_json(tmp_path, "state.json", state_doc)
+            code, out, err = run_cli(["evolve", proc, state, t], capsys)
+            assert (code, out) == (2, ""), (proc_doc, state_doc, t)
+            assert message in err, err
+
+    refused(cases)
+    # The |r_f| and purity checks past STATE_QUBIT_LIMIT, reached at n = 6
+    # with the limit lowered to 5.
+    monkeypatch.setattr(pcekit.dense, "STATE_QUBIT_LIMIT", 5)
+    refused(heuristic_cases)
 
 
 def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
@@ -580,6 +605,13 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
         ("text", {"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
         ("text", good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
         ("text", good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
+        # Qubit 1's Bloch vector has length 1.56; |r_f| and purity pass.
+        (
+            "text",
+            {"n": 6, "labels": ["300000"]},
+            {"n": 6, "components": [1, 0.9, 0.9, 0.9] + [0] * 4092},
+            "state is not positive semidefinite",
+        ),
         ("text", {"n": 2, "labels": ["33"]}, good_state, "state has n=1 but schedule has n=2"),
         (
             "text",
@@ -587,12 +619,12 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
             {"n": 1, "components": [1, 0, 0, 0], "rho": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
             'state document needs exactly one of "components" or "rho"',
         ),
-        # The JSON document is a density matrix, which stops at the dense limit.
+        # The JSON document is a density matrix, which stops at the state limit.
         (
             "json",
-            {"n": 6, "labels": ["111111"]},
-            {"n": 6, "components": [1] + [0] * 4095},
-            "a dense matrix needs 1 <= n <= 5, got n=6",
+            {"n": 11, "labels": ["1" * 11]},
+            {"n": 11, "components": [1] + [0] * (4**11 - 1)},
+            "a dense matrix needs 1 <= n <= 10, got n=11",
         ),
     ):
         sched = write_json(tmp_path, "sched.json", sched_doc)
@@ -734,6 +766,92 @@ def test_collide_text_and_json(tmp_path, capsys):
     assert doc["n"] == 1
     assert doc["rho"][0][0] == [0.8, 0.0]
     assert doc["rho"][1][1] == [0.2, 0.0]
+
+
+def test_collide_json_runs_to_the_state_limit(tmp_path, capsys):
+    n = 6
+    rng = np.random.default_rng(6)
+    r0 = seeded_components(rng, n)
+    sched_doc = {"n": n, "labels": ["300000", "003100"]}
+    sched = write_json(tmp_path, "sched.json", sched_doc)
+    state = write_json(tmp_path, "state.json", {"n": n, "components": r0.tolist()})
+    code, out, _ = run_cli(["--format", "json", "collide", sched, state], capsys)
+    assert code == 0
+    rho = from_pauli_components(fixed_point_components(schedule_from_json_dict(sched_doc), r0))
+    expected = np.stack((rho.real, rho.imag), axis=-1).tolist()
+    assert json.loads(out) == {"n": n, "rho": _round12(expected)}
+
+
+def test_no_command_builds_the_pauli_table(tmp_path, capsys, monkeypatch):
+    import pcekit
+    import pcekit.dense
+    import pcekit.pauli
+
+    def refuse(n):
+        raise AssertionError(f"pauli_basis({n}) was built")
+
+    for module in (pcekit, pcekit.pauli, pcekit.dense):
+        monkeypatch.setattr(module, "pauli_basis", refuse, raising=False)
+    sched = write_json(tmp_path, "sched.json", {"n": 5, "labels": ["30000", "01300"]})
+    state = write_json(
+        tmp_path, "state.json", {"n": 5, "components": [1] + [0.9 / 1023] * 1023}
+    )
+    code, out, _ = run_cli(["--format", "json", "collide", sched, state], capsys)
+    assert code == 0 and len(json.loads(out)["rho"]) == 32
+    rho = _round12(np.stack((np.eye(8) / 8, np.zeros((8, 8))), axis=-1).tolist())
+    rho[0][4] = rho[4][0] = [0.05, 0.0]  # X on qubit 1, the leftmost factor
+    state = write_json(tmp_path, "rho.json", {"n": 3, "rho": rho})
+    proc = write_json(tmp_path, "proc.json", {"terms": [{"alpha": "301", "gamma": 1.0}]})
+    code, out, _ = run_cli(["evolve", proc, state, "1.0", "--steps", "2"], capsys)
+    assert code == 0 and out.startswith("t,alpha,r\n0,0,1\n0,1,0.1\n")
+    masked = apply_pce(PceMap.from_preserved(2, [0, 3]), np.diag([0.5, 0.5, 0, 0]))
+    assert masked.tolist() == [1, 0, 0, 1] + [0] * 12
+
+
+def test_text_rows_written_in_slices_equal_one_row_at_once(tmp_path, capsys, monkeypatch):
+    import pcekit.cli as cli
+
+    rng = np.random.default_rng(11)
+    r0 = seeded_components(rng, 3)
+    state = write_json(tmp_path, "state.json", {"n": 3, "components": r0.tolist()})
+    proc = write_json(tmp_path, "proc.json", {"terms": [{"alpha": "130", "gamma": 0.4}]})
+    sched = write_json(tmp_path, "sched.json", {"n": 3, "labels": ["102"]})
+    commands = (["evolve", proc, state, "2.0", "--steps", "3"], ["collide", sched, state])
+    whole = [run_cli(argv, capsys) for argv in commands]
+    assert all(code == 0 for code, _, _ in whole)
+    for row_slice in (1, 7, 64):
+        monkeypatch.setattr(cli, "_ROW_SLICE", row_slice)
+        assert [run_cli(argv, capsys) for argv in commands] == whole
+
+
+def test_verify_in_shrunk_chunks_gives_the_one_chunk_counts(monkeypatch, capsys):
+    import pcekit.cli as cli
+    import pcekit.dense as dense
+
+    argvs = [
+        ["--format", fmt, "--seed", "3", "verify", "3", "--samples", "200"]
+        for fmt in ("text", "json")
+    ]
+    whole = [run_cli(argv, capsys) for argv in argvs]
+    batches = []
+    closed_flags = dense._closed_flags
+    monkeypatch.setattr(
+        dense, "_closed_flags", lambda n, masks: batches.append(len(masks)) or closed_flags(n, masks)
+    )
+    for module in (cli, dense):
+        monkeypatch.setattr(module, "VERIFY_CHUNK", 64)
+    assert [run_cli(argv, capsys) for argv in argvs] == whole
+    assert batches == [64, 64, 64, 8] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456])
+def test_sampled_masks_drawn_in_chunks_equal_one_draw(seed):
+    import pcekit.cli as cli
+
+    for count in (1, 250, 65536, 65537, 300000):
+        rng = np.random.default_rng(seed)
+        draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        assert list(cli._sampled_masks(seed, count)) == [int(d) | 1 for d in draws]
 
 
 def test_verify_exhaustive_single_qubit(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from pcekit.dense import (
     _choi_block_terms,
+    check_state_components,
     apply_generator_kraus,
     apply_pce,
     check_report,
@@ -30,7 +31,14 @@ from pcekit.enumeration import enumerate_subspaces
 from pcekit.errors import DimensionMismatchError, InvalidStabilizerSetError
 from pcekit.generators import generator_map
 from pcekit.maps import PceMap, choi_spectrum, is_closed_subspace, subspace_to_map
-from pcekit.pauli import SINGLE_QUBIT_PAULIS, MultiIndex, commutes, pauli_string_dense
+from pcekit.errors import CapacityError
+from pcekit.pauli import (
+    SINGLE_QUBIT_PAULIS,
+    MultiIndex,
+    commutes,
+    pauli_basis,
+    pauli_string_dense,
+)
 
 
 def _random_states(n: int, count: int, seed: int) -> list[np.ndarray]:
@@ -60,6 +68,41 @@ def test_pauli_components_rejects_non_hermitian():
         pauli_components(np.eye(3))
     with pytest.raises(ValueError, match="length 5 is not a power of four"):
         from_pauli_components(np.ones(5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_per_qubit_contraction_equals_the_pauli_basis_einsum(n):
+    # The reference is the 4**n-string table: r_f = tr(rho P_f) and
+    # rho = 2**-n sum_f r_f P_f, one einsum each.
+    basis = pauli_basis(n)
+    for rho in _random_states(n, 3, seed=70 + n):
+        r = pauli_components(rho)
+        assert np.abs(r - np.einsum("aij,ji->a", basis, rho).real).max() <= 1e-15
+        rebuilt = from_pauli_components(r)
+        assert np.abs(rebuilt - np.einsum("a,aij->ij", r, basis) / 2**n).max() <= 1e-15
+        assert np.abs(rebuilt - rho).max() <= 1e-15
+        assert np.abs(pauli_components(rebuilt) - r).max() <= 1e-15
+
+
+def test_from_pauli_components_stops_at_the_state_limit():
+    with pytest.raises(CapacityError, match="a dense matrix needs 1 <= n <= 10, got n=11"):
+        from_pauli_components(np.zeros(4**11))
+    with pytest.raises(CapacityError, match="got n=0"):
+        from_pauli_components(np.ones(1))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_state_positivity_is_exact_past_the_pauli_table(n):
+    # r = 0.9 on X, Y and Z of qubit 1: |r_f| <= 1 and purity <= 1 hold, but
+    # the Bloch vector has length 0.9 * sqrt(3) = 1.56.
+    r = np.zeros(4**n)
+    r[:4] = [1, 0.9, 0.9, 0.9]
+    lowest = (1 - 0.9 * np.sqrt(3)) / 2**n
+    with pytest.raises(ValueError, match="not positive semidefinite") as refused:
+        check_state_components(r)
+    assert abs(float(str(refused.value).split()[-1]) - lowest) < 1e-12
+    r[1:4] = 0.5
+    check_state_components(r)
 
 
 def test_apply_pce_masks_components():
