@@ -133,11 +133,11 @@ _FROM_COMPONENTS = _PAULI_STACK.reshape(4, 4) / 2
 
 
 def _per_qubit(t: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
-    """``t``, of shape ``(4,) * n``, times ``table`` along every axis.  Each
-    tensordot contracts the first axis and appends its image last, so after n
-    of them the axes are back in their order."""
+    """``t``, 4**n entries read as ``(4,) * n`` axes, times ``table`` along
+    every axis.  Each product contracts the leading axis and appends its image
+    last, so after n of them the axes are back in their order."""
     for _ in range(n):
-        t = np.tensordot(t, table, axes=(0, 0))
+        t = t.reshape(4, -1).T @ table
     return t
 
 
@@ -158,7 +158,7 @@ def pauli_components(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     n = _infer_n(rho.shape[0], "density matrix")
     _check_hermitian(rho, tol, "density matrix")
-    t = rho.reshape((2,) * 2 * n).transpose(_qubit_pairs(n)).reshape((4,) * n)
+    t = rho.reshape((2,) * 2 * n).transpose(_qubit_pairs(n))
     return _per_qubit(t, _TO_COMPONENTS, n).real.ravel()
 
 
@@ -168,7 +168,7 @@ def from_pauli_components(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     n = _infer_n_components(r.size)
     check_qubits(n, STATE_QUBIT_LIMIT, "a dense matrix")
-    t = _per_qubit(r.reshape((4,) * n), _FROM_COMPONENTS, n).reshape((2,) * 2 * n)
+    t = _per_qubit(r, _FROM_COMPONENTS, n).reshape((2,) * 2 * n)
     return t.transpose(np.argsort(_qubit_pairs(n))).reshape(2**n, 2**n)
 
 

@@ -5,12 +5,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pcekit.cli import _round12, main
-from pcekit.dense import apply_pce, check_report, from_pauli_components
+from pcekit.dense import apply_pce, check_report, from_pauli_components, verify_report
 from pcekit.dynamics import (
     evolve_components,
     fixed_point_components,
@@ -822,6 +823,45 @@ def test_text_rows_written_in_slices_equal_one_row_at_once(tmp_path, capsys, mon
     for row_slice in (1, 7, 64):
         monkeypatch.setattr(cli, "_ROW_SLICE", row_slice)
         assert [run_cli(argv, capsys) for argv in commands] == whole
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_rows_hold_one_slice_at_a_time(monkeypatch):
+    import pcekit.cli as cli
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    row = np.linspace(-1, 1, 1 << 16)
+    peaks = {}
+    for row_slice in (1 << 8, 1 << 16):
+        monkeypatch.setattr(cli, "_ROW_SLICE", row_slice)
+        peaks[row_slice] = _traced_peak(lambda: cli._write_indexed_lines("%d %.12g\n", row))
+    # The whole row at once holds its floats, the items and the text (7 MB).
+    assert peaks[1 << 8] < 1 << 18 and 20 * peaks[1 << 8] < peaks[1 << 16]
+
+
+def test_verify_report_holds_one_chunk_of_masks_at_a_time(monkeypatch):
+    import pcekit.dense as dense
+
+    verify_report(2, [1])  # the oracle's cached block table, before tracing
+    monkeypatch.setattr(dense, "VERIFY_CHUNK", 1024)
+    peaks = {}
+    for count in (2048, 32768):
+        masks = (2 * (i * 7919 % 2**15) + 1 for i in range(count))
+        peaks[count] = _traced_peak(lambda: verify_report(2, masks))
+    # Read all at once, 32,768 masks peak about twice as high as 2,048.
+    assert peaks[32768] < 1.1 * peaks[2048]
 
 
 def test_verify_in_shrunk_chunks_gives_the_one_chunk_counts(monkeypatch, capsys):

@@ -8,10 +8,10 @@ import pytest
 
 from pcekit.dense import (
     _choi_block_terms,
-    check_state_components,
     apply_generator_kraus,
     apply_pce,
     check_report,
+    check_state_components,
     choi_basis_terms,
     choi_dense,
     choi_min_eigenvalues,
@@ -28,10 +28,9 @@ from pcekit.dense import (
     verify_report,
 )
 from pcekit.enumeration import enumerate_subspaces
-from pcekit.errors import DimensionMismatchError, InvalidStabilizerSetError
+from pcekit.errors import CapacityError, DimensionMismatchError, InvalidStabilizerSetError
 from pcekit.generators import generator_map
 from pcekit.maps import PceMap, choi_spectrum, is_closed_subspace, subspace_to_map
-from pcekit.errors import CapacityError
 from pcekit.pauli import (
     SINGLE_QUBIT_PAULIS,
     MultiIndex,
