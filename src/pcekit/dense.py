@@ -23,8 +23,10 @@ masks, and each distinct block of a batch chunk is solved once.
 `check_report` and `verify_report` are the CLI's ``check`` and ``verify``
 verdicts.  The symbolic answers come from `maps`, `_symbolic_report` for
 ``check`` and `_closed_flags` for ``verify``; this module adds only the
-oracle, set against them by one rule, `_oracle_verdicts`.  `verify_report`
-reads its masks ``VERIFY_CHUNK`` at a time.
+oracle, set against them by one rule, `_oracle_verdicts`.  The oracle reads
+a batch as decoded bits, one bool row of ``4**n`` per mask: `maps` alone
+decodes tau integers (`maps._mask_bits`), and `verify_report` has it decode
+each ``VERIFY_CHUNK`` of masks once.
 
 A state's components and its matrix are one change of basis that factors by
 qubit: `pauli_components` and `from_pauli_components` apply a 4 x 4 table of
@@ -53,10 +55,9 @@ from .errors import DimensionMismatchError, InvalidStabilizerSetError
 from .maps import (
     PceMap,
     Subspace,
-    _check_tau,
     _closed_flags,
+    _mask_bits,
     _symbolic_report,
-    _tau_bits,
     subspace_to_map,
 )
 from .pauli import (
@@ -292,26 +293,27 @@ def choi_min_eigenvalues(n: int, masks) -> np.ndarray:
 
     ``eigvalsh(choi_dense(PceMap(n, m))).min()`` up to rounding, solved as
     the matrix's ``2**n`` diagonal blocks of size ``2**n`` (see the module
-    docstring), which are real: the masks' bits are decoded, and the blocks
-    built and diagonalized with real ``eigvalsh``, a chunk of masks at a time
-    to bound memory.  Within a chunk each distinct block, by its exact bytes,
-    is solved once, so a mask's value does not depend on the rest of the
-    batch.
+    docstring), which are real: the masks are decoded once by
+    `maps._mask_bits`, and the blocks built and diagonalized with real
+    ``eigvalsh``, a chunk of masks at a time to bound memory.  Within a
+    chunk each distinct block, by its exact bytes, is solved once, so a
+    mask's value does not depend on the rest of the batch.
 
     Raises:
         ValueError: if a mask is not an integer in ``0 .. 2**(4**n) - 1``.
     """
     check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
-    return _choi_min_eigenvalues(n, [_check_tau(n, tau) for tau in masks])
+    return _choi_min_eigenvalues(n, _mask_bits(n, masks))
 
 
-def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
-    """`choi_min_eigenvalues` on checked masks and n."""
+def _choi_min_eigenvalues(n: int, bits: np.ndarray) -> np.ndarray:
+    """`choi_min_eigenvalues` on a checked n and decoded masks, one row of
+    ``4**n`` bits each."""
     terms = _choi_block_terms(n).reshape(4**n, -1)
     chunk = 2048 if n <= 2 else 256
-    out = np.empty(len(masks))
-    for start in range(0, len(masks), chunk):
-        blocks = (_tau_bits(n, masks[start : start + chunk]) / 2**n) @ terms
+    out = np.empty(len(bits))
+    for start in range(0, len(bits), chunk):
+        blocks = (bits[start : start + chunk] / 2**n) @ terms
         # Pauli channels repeat blocks heavily (946 distinct among the
         # 131,072 of the trace-preserving n = 2 masks).  Keys are the exact
         # bytes, so -0.0 and 0.0 differ and each value is what solving its
@@ -334,16 +336,15 @@ def _choi_min_eigenvalues(n: int, masks: list[int]) -> np.ndarray:
 VERIFY_CHUNK = 1 << 16
 
 
-def _oracle_verdicts(n: int, masks: list[int], symbolic_cp, tol: float):
-    """The one oracle rule: per mask, ``(lambda_min, cp, agrees)`` with
-    ``cp = lambda_min >= -tol``.  The oracle agrees with the symbolic verdict
-    iff ``cp == (symbolic_cp or tau == 0)``: erasing tau_0 makes the Choi
-    trace 0, so such a map is CP only when it is the zero map.  The callers
-    have checked n and the masks."""
-    lambda_min = _choi_min_eigenvalues(n, masks)
+def _oracle_verdicts(n: int, bits: np.ndarray, symbolic_cp, tol: float):
+    """The one oracle rule: per row of decoded mask bits, ``(lambda_min, cp,
+    agrees)`` with ``cp = lambda_min >= -tol``.  The oracle agrees with the
+    symbolic verdict iff ``cp == (symbolic_cp or tau == 0)``: erasing tau_0
+    makes the Choi trace 0, so such a map is CP only when it is the zero map.
+    The callers have checked n."""
+    lambda_min = _choi_min_eigenvalues(n, bits)
     cp = lambda_min >= -tol
-    zero = np.fromiter((tau == 0 for tau in masks), dtype=bool, count=len(masks))
-    return lambda_min, cp, cp == (np.asarray(symbolic_cp) | zero)
+    return lambda_min, cp, cp == (np.asarray(symbolic_cp) | ~bits.any(axis=1))
 
 
 def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
@@ -358,7 +359,7 @@ def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
     report = _symbolic_report(obj)
     if obj.n <= CHOI_QUBIT_LIMIT:
         pce = subspace_to_map(obj) if isinstance(obj, Subspace) else obj
-        oracle = _oracle_verdicts(pce.n, [pce.tau], [report["is_channel"]], tol)
+        oracle = _oracle_verdicts(pce.n, pce.tau_vector()[None], [report["is_channel"]], tol)
         lambda_min, cp, agrees = (x.item() for x in oracle)
         # Every Choi eigenvalue of a PCE map is an integer over 2**n.
         grid = round(lambda_min * 2**pce.n) / 2**pce.n
@@ -370,16 +371,16 @@ def check_report(obj: PceMap | Subspace, tol: float = 1e-9) -> dict:
 
 def verify_report(n: int, masks, tol: float = 1e-9) -> dict:
     """The symbolic CP verdict against the dense oracle on an iterable of tau
-    bitmasks, read ``VERIFY_CHUNK`` at a time: per chunk one batched closure
-    decision and one oracle call, the counts added up, so memory does not
-    grow with the number of masks."""
+    bitmasks, read ``VERIFY_CHUNK`` at a time: per chunk one decode, one
+    batched closure decision and one oracle call, the counts added up, so
+    memory does not grow with the number of masks."""
     check_qubits(n, CHOI_QUBIT_LIMIT, "a Choi matrix")
     masks = iter(masks)
     counts = np.zeros(4, dtype=np.int64)
-    while chunk := [_check_tau(n, tau) for tau in itertools.islice(masks, VERIFY_CHUNK)]:
-        symbolic = _closed_flags(n, chunk)
-        _, oracle, agrees = _oracle_verdicts(n, chunk, symbolic, tol)
-        counts += [len(chunk), symbolic.sum(), oracle.sum(), agrees.sum()]
+    while len(bits := _mask_bits(n, itertools.islice(masks, VERIFY_CHUNK))):
+        symbolic = _closed_flags(n, bits)
+        _, oracle, agrees = _oracle_verdicts(n, bits, symbolic, tol)
+        counts += [len(bits), symbolic.sum(), oracle.sum(), agrees.sum()]
     checked, cp_symbolic, cp_oracle, agreed = counts.tolist()
     disagreements = checked - agreed
     return {

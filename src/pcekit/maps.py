@@ -37,10 +37,11 @@ witness scan, the span-route spectrum and every listing read those two
 arrays, so each public call decodes at most once.  `_symbolic_report` gives
 every symbolic answer of `check` (closure, K, witness, exact spectrum) from
 that one decode, and lists the set positions only when an answer reads
-them.  `verify`'s batched decision, `_closed_flags`, decodes its
-masks a group at a time; it and the one-map `_closed_basis` share one
-closure core, `_closed_group`.  The dense oracle asks `maps` only these two
-private questions, and adds its own verdict.
+them.  A batch of masks is checked and decoded once, by `_mask_bits`, into
+one bool row per mask; `verify`'s batched decision, `_closed_flags`, and
+the dense oracle read those rows, so how a tau integer encodes its bits is
+known here alone.  `_closed_flags` and the one-map `_closed_basis` share
+one closure core, `_closed_group`.
 """
 
 from __future__ import annotations
@@ -209,13 +210,24 @@ def _tau_bits(n: int, masks) -> np.ndarray:
     """The bits of each tau bitmask (a Python int) in ``masks``, bit f in
     column f: a uint8 0/1 array of shape ``(len(masks), 4**n)`` from one
     unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector`
-    (and so `_decode` and `_symbolic_report`), `_closed_flags` and the dense
-    oracle's batches all decode through it.  Trusted: every mask is in
-    ``0 .. 2**(4**n) - 1``, as in a `PceMap`.
+    (and so `_decode` and `_symbolic_report`) and `_mask_bits` decode
+    through it.  Trusted: every mask is in ``0 .. 2**(4**n) - 1``, as in a
+    `PceMap`.
     """
     width = (4**n + 7) // 8
     raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
     return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * width)[:, : 4**n]
+
+
+def _mask_bits(n: int, masks) -> np.ndarray:
+    """The masks of an iterable, each checked once by `_check_tau`, decoded
+    in one `_tau_bits` call: a bool array of shape ``(G, 4**n)``, row g the
+    bits of mask g.  `verify`'s chunks and the dense oracle read these rows.
+
+    Raises:
+        ValueError: if a mask is not an integer in ``0 .. 2**(4**n) - 1``.
+    """
+    return _tau_bits(n, [_check_tau(n, tau) for tau in masks]).view(bool)
 
 
 def _decode(pce: PceMap, listed: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -493,25 +505,22 @@ def _closed_basis(n: int, present: np.ndarray, codes: np.ndarray | None) -> list
     return rows[0, ::-1].tolist() if closed[0] else None
 
 
-def _closed_flags(n: int, masks) -> np.ndarray:
-    """Whether each tau bitmask keeps tau_0 and its preserved set is closed,
-    as a bool array: the batched closure decision of `verify`.
+def _closed_flags(n: int, bits: np.ndarray) -> np.ndarray:
+    """Whether each mask keeps tau_0 and its preserved set is closed, as a
+    bool array: the batched closure decision of `verify`, on the rows of
+    `_mask_bits`.
 
-    The masks are grouped by popcount, and each group of trace-preserving
-    masks with a power-of-two count is decoded at once and decided by one
-    `_closed_group` call.  The masks are ints in ``0 .. 2**(4**n) - 1``, as
-    in a `PceMap`.
+    The trace-preserving rows with a power-of-two popcount are grouped by
+    popcount, and each group is decided by one `_closed_group` call.
     """
-    out = np.zeros(len(masks), dtype=bool)
-    groups: dict[int, list[int]] = {}
-    for position, tau in enumerate(masks):
-        count = tau.bit_count()
-        if tau & 1 and not count & (count - 1):
-            groups.setdefault(count, []).append(position)
-    for count, positions in groups.items():
-        bits = _tau_bits(n, [masks[p] for p in positions]).view(bool)
-        codes = np.flatnonzero(bits).reshape(len(positions), count)
-        out[positions] = _closed_group(n, bits, codes)[1]
+    counts = np.count_nonzero(bits, axis=1)
+    candidates = bits[:, 0] & (counts & (counts - 1) == 0)
+    out = np.zeros(len(bits), dtype=bool)
+    for count in np.unique(counts[candidates]).tolist():
+        positions = np.flatnonzero(candidates & (counts == count))
+        group = bits[positions]
+        codes = np.flatnonzero(group).reshape(len(positions), count)
+        out[positions] = _closed_group(n, group, codes)[1]
     return out
 
 
@@ -590,7 +599,7 @@ def _symbolic_report(obj: PceMap | Subspace) -> dict:
         report.update(is_pce=obj.is_trace_preserving, is_channel=rows is not None)
         if rows is not None:
             report["K"] = len(rows)
-        report["popcount"] = obj.preserved_count
+        report["popcount"] = int(np.count_nonzero(present)) if codes is None else codes.size
         if obj.is_trace_preserving and rows is None:
             a, b, missing = _first_erased_sum(obj.n, present, codes)
             report["witness"] = {

@@ -205,7 +205,7 @@ def test_check_report_snaps_lambda_min_but_judges_the_solved_value(monkeypatch):
         (-2e-9, 1e-9, -2e-9, False),  # off the grid: printed as solved
     ):
         monkeypatch.setattr(
-            "pcekit.dense._choi_min_eigenvalues", lambda n, masks: np.array([solved])
+            "pcekit.dense._choi_min_eigenvalues", lambda n, bits: np.array([solved])
         )
         oracle = check_report(pce, tol)["oracle"]
         assert (oracle["lambda_min"], oracle["cp"], oracle["agrees"]) == (reported, cp, cp)
@@ -876,7 +876,7 @@ def test_verify_in_shrunk_chunks_gives_the_one_chunk_counts(monkeypatch, capsys)
     batches = []
     closed_flags = dense._closed_flags
     monkeypatch.setattr(
-        dense, "_closed_flags", lambda n, masks: batches.append(len(masks)) or closed_flags(n, masks)
+        dense, "_closed_flags", lambda n, bits: batches.append(len(bits)) or closed_flags(n, bits)
     )
     for module in (cli, dense):
         monkeypatch.setattr(module, "VERIFY_CHUNK", 64)
@@ -924,10 +924,10 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
     closed_flags, post_init = maps._closed_flags, maps.PceMap.__post_init__
     check_tau = maps._check_tau
 
-    def counting_closed_flags(n, masks):
+    def counting_closed_flags(n, bits):
         calls["batches"] += 1
-        calls["masks"] += len(masks)
-        return closed_flags(n, masks)
+        calls["masks"] += len(bits)
+        return closed_flags(n, bits)
 
     def counting_post_init(self):
         calls["maps"] += 1
@@ -939,7 +939,7 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
 
     monkeypatch.setattr(dense, "_closed_flags", counting_closed_flags)
     monkeypatch.setattr(maps.PceMap, "__post_init__", counting_post_init)
-    monkeypatch.setattr(dense, "_check_tau", counting_check_tau)
+    monkeypatch.setattr(maps, "_check_tau", counting_check_tau)
     for argv, count in ((["verify", "2"], 2**15), (["verify", "3", "--samples", "50"], 50)):
         calls.update(batches=0, masks=0, maps=0, checks=0)
         code, out, _ = run_cli(argv, capsys)

@@ -31,6 +31,7 @@ from pcekit.maps import (
     _closed_basis,
     _closed_flags,
     _decode,
+    _mask_bits,
     Subspace,
     channel_spectrum,
     choi_spectrum,
@@ -187,10 +188,10 @@ def test_batched_closure_decision_equals_per_mask_decision_and_string_scan(case)
     n, masks = case
     bases = [_closed_basis(n, *_decode(PceMap(n, m))) for m in masks]
     assert bases == [string_scan_closed_basis(n, m) for m in masks]
-    flags = _closed_flags(n, masks)
+    flags = _closed_flags(n, _mask_bits(n, masks))
     assert flags.dtype == bool
     assert flags.tolist() == [basis is not None for basis in bases]
-    assert _closed_flags(n, []).tolist() == []
+    assert _closed_flags(n, _mask_bits(n, [])).tolist() == []
 
 
 @st.composite
