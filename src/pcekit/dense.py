@@ -415,54 +415,55 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return reduced.reshape(dim, dim)
 
 
-def _coerce_labels(strings) -> list[MultiIndex]:
-    """Accept base-4 strings or MultiIndex objects interchangeably."""
-    return [
-        s if isinstance(s, MultiIndex) else MultiIndex.from_string(s)
-        for s in strings
-    ]
+def _commuting_generators(strings) -> tuple[list[MultiIndex], list[int]]:
+    """The labels of a commuting family, base-4 strings or `MultiIndex`
+    objects, as `MultiIndex` objects, and their RREF generators.
 
-
-def _commuting_generators(strings: list[MultiIndex]) -> list[int]:
-    """RREF generators of a commuting family; raises on an anticommuting pair."""
-    n = strings[0].n
-    basis = gf2.rref(s.code for s in strings)
+    Raises:
+        InvalidStabilizerSetError: if the family is empty or two of its
+            labels do not commute.
+        DimensionMismatchError: if the labels have mixed qubit counts.
+    """
+    labels = [s if isinstance(s, MultiIndex) else MultiIndex.from_string(s) for s in strings]
+    if not labels:
+        raise InvalidStabilizerSetError("empty index set")
+    n = labels[0].n
+    if any(s.n != n for s in labels):
+        raise DimensionMismatchError("labels have mixed qubit counts")
+    basis = gf2.rref(s.code for s in labels)
     for i, u in enumerate(basis):
         for v in basis[i + 1 :]:
             if _sp_parity(u, v, n):
                 raise InvalidStabilizerSetError(
                     f"labels {MultiIndex(n, u)} and {MultiIndex(n, v)} do not commute"
                 )
-    return basis
+    return labels, basis
 
 
 def qc_channel(strings: list[MultiIndex]) -> PceMap:
     """PCE channel of a maximal commuting index set (its diagonal projector).
 
-    The input must contain the zero index and have exactly ``2**n`` distinct
-    pairwise-commuting elements, which makes it closed under componentwise
-    addition (commuting strings span at most n dimensions); the resulting
-    channel preserves exactly that index set.
+    The input must have exactly ``2**n`` distinct pairwise-commuting
+    elements.  Commuting strings span at most n dimensions, so such a set is
+    a whole n-dimensional span: it holds the zero index and is closed under
+    componentwise addition.  The resulting channel preserves exactly that
+    index set.
 
     Raises:
-        InvalidStabilizerSetError: naming the specific failed requirement.
+        InvalidStabilizerSetError: naming the specific failed requirement:
+            an empty set, an anticommuting pair, a duplicate label or the
+            wrong number of labels, checked in that order.
+        DimensionMismatchError: if the labels have mixed qubit counts.
     """
-    if not strings:
-        raise InvalidStabilizerSetError("empty index set")
-    strings = _coerce_labels(strings)
-    n = strings[0].n
-    if any(s.n != n for s in strings):
-        raise DimensionMismatchError("labels have mixed qubit counts")
-    codes = {s.code for s in strings}
-    if len(codes) != len(strings):
+    labels, _ = _commuting_generators(strings)
+    n = labels[0].n
+    codes = {s.code for s in labels}
+    if len(codes) != len(labels):
         raise InvalidStabilizerSetError("duplicate labels in index set")
     if len(codes) != 2**n:
         raise InvalidStabilizerSetError(
             f"index set has {len(codes)} elements, expected 2**{n} = {2**n}"
         )
-    if 0 not in codes:
-        raise InvalidStabilizerSetError("index set must contain the zero index")
-    _commuting_generators(strings)
     return PceMap.from_preserved(n, codes)
 
 
@@ -473,10 +474,14 @@ def common_eigenbasis(strings: list[MultiIndex]) -> np.ndarray:
     Computed by diagonalizing a generic real combination of independent
     generators (weights 3**-i, so every joint sign pattern gets a distinct
     eigenvalue).
+
+    Raises:
+        InvalidStabilizerSetError: if the family is empty or two of its
+            labels do not commute.
+        DimensionMismatchError: if the labels have mixed qubit counts.
     """
-    strings = _coerce_labels(strings)
-    n = strings[0].n
-    basis = _commuting_generators(strings)
+    labels, basis = _commuting_generators(strings)
+    n = labels[0].n
     mix = np.zeros((2**n, 2**n), dtype=complex)
     for i, code in enumerate(basis):
         mix += 3.0 ** -(i + 1) * pauli_string_dense(MultiIndex(n, code))

@@ -452,19 +452,32 @@ def test_qc_channel_validation_errors():
         qc_channel([])
     with pytest.raises(InvalidStabilizerSetError, match="expected"):
         qc_channel(["0"])  # too few elements
-    with pytest.raises(InvalidStabilizerSetError):
-        qc_channel(["1", "2"])  # missing the zero index
-    with pytest.raises(InvalidStabilizerSetError):
-        qc_channel(["0", "1", "1", "2"])  # duplicate
+    with pytest.raises(InvalidStabilizerSetError, match="duplicate"):
+        qc_channel(["0", "1", "1", "0"])
     with pytest.raises(InvalidStabilizerSetError, match="commute"):
         qc_channel(["00", "10", "20", "30"])  # X and Y on qubit 1
-    # A non-closed set of full cardinality always contains an anticommuting
-    # pair (a commuting set spans at most 2**n indices), so the commutation
-    # error fires first.
-    with pytest.raises(InvalidStabilizerSetError):
-        qc_channel(["00", "10", "03", "23"])
+    # A set without the zero index, or not closed, has an anticommuting pair
+    # (a commuting set lies in a span of at most 2**n indices); that refusal
+    # comes before the duplicate and count checks.
+    for labels in (["1", "2"], ["0", "1", "1", "2"], ["00", "10", "03", "23"]):
+        with pytest.raises(InvalidStabilizerSetError, match="commute"):
+            qc_channel(labels)
     with pytest.raises(DimensionMismatchError):
         qc_channel(["0", "30"])
+
+
+@pytest.mark.parametrize(
+    "labels, error, message",
+    [
+        ([], InvalidStabilizerSetError, "empty index set"),
+        (["01", "3"], DimensionMismatchError, "labels have mixed qubit counts"),
+        (["1", "2"], InvalidStabilizerSetError, "do not commute"),
+    ],
+)
+def test_common_eigenbasis_refuses_what_qc_channel_refuses(labels, error, message):
+    for refuse in (qc_channel, common_eigenbasis):
+        with pytest.raises(error, match=message):
+            refuse(labels)
 
 
 def test_qc_channel_refuses_integer_labels():
