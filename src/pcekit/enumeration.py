@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import CapacityError
 from .maps import Subspace
-from .pauli import check_qubits
+from .pauli import _check_dimension, check_qubits
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -38,10 +38,12 @@ def count_channels(n: int, K: int) -> int:
     Evaluated as a ratio of q-factorial products; internally both the
     telescoped one-factor-per-step form and the ordered-bases-over-
     automorphisms form are computed and must agree.
+
+    Raises:
+        ValueError: if ``K`` is not an integer in ``0..2n`` (bools are not).
     """
     check_qubits(n)
-    if not 0 <= K <= 2 * n:
-        raise ValueError(f"K must be in 0..{2 * n}, got {K}")
+    K = _check_dimension(n, K)
     numerator = 1
     denominator = 1
     for m in range(K):

@@ -59,6 +59,7 @@ from .pauli import (
     TAU_QUBIT_LIMIT,
     MultiIndex,
     _base4_code,
+    _check_dimension,
     _check_same_n,
     _flat_index,
     _qubit_position,
@@ -442,8 +443,7 @@ def channel_spectrum(n: int, K: int) -> list[tuple[Fraction, int]]:
     ``(value, multiplicity)`` pairs, ascending; K = 0 has no 0 entry.
     """
     check_qubits(n)
-    if isinstance(K, bool) or not isinstance(K, int) or not 0 <= K <= 2 * n:
-        raise ValueError(f"K must be an integer in 0..{2 * n}, got {K!r}")
+    K = _check_dimension(n, K)
     support = 1 << (2 * n - K)
     counts = [(Fraction(1 << K, 1 << n), support)]
     if support < 4**n:

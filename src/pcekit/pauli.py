@@ -97,6 +97,18 @@ def check_qubits(n: int, limit: int = N_MAX, what: str = "the symbolic form") ->
         raise CapacityError(f"{what} needs 1 <= n <= {limit}, got n={n}")
 
 
+def _check_dimension(n: int, K) -> int:
+    """``K`` as the dimension of a subspace of GF(2)^(2n), else ValueError
+    naming it: an integer (bools are not) in ``0..2n``."""
+    try:
+        dim = None if isinstance(K, bool) else operator.index(K)
+    except TypeError:
+        dim = None
+    if dim is None or not 0 <= dim <= 2 * n:
+        raise ValueError(f"K must be an integer in 0..{2 * n}, got {K!r}")
+    return dim
+
+
 def parse_qubit_count(value) -> int:
     """A document's ``"n"``: an int in ``1..N_MAX``, else ValueError (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= N_MAX:

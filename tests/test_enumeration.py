@@ -1,7 +1,9 @@
 """Channel counting and exhaustive subspace generation."""
 
 import hashlib
+import re
 
+import numpy as np
 import pytest
 
 from pcekit.enumeration import (
@@ -12,7 +14,7 @@ from pcekit.enumeration import (
     recount_by_enumeration,
 )
 from pcekit.errors import CapacityError
-from pcekit.maps import subspace_to_map
+from pcekit.maps import channel_spectrum, subspace_to_map
 
 # Frozen per-dimension counts (number of K-dimensional subspaces of a
 # 2n-dimensional binary vector space).
@@ -81,6 +83,25 @@ def test_count_rejects_out_of_range_dimension():
         count_channels(2, -1)
     with pytest.raises(ValueError):
         count_channels(2, 5)
+
+
+@pytest.mark.parametrize("K", [-1, 5, True, False, 2.5, 1.0, None, "2", np.int64(5)])
+@pytest.mark.parametrize(
+    "take", [count_channels, enumerate_subspaces, recount_by_enumeration, channel_spectrum]
+)
+def test_subspace_dimension_has_one_rule(take, K):
+    message = re.escape(f"K must be an integer in 0..4, got {K!r}")
+    with pytest.raises(ValueError, match=message):
+        take(2, K)
+
+
+@pytest.mark.parametrize("K", [0, 2, 4])
+def test_subspace_dimension_takes_any_integer_type(K):
+    assert count_channels(2, np.int64(K)) == count_channels(2, K) == EXPECTED[2][K]
+    assert channel_spectrum(2, np.int64(K)) == channel_spectrum(2, K)
+    assert [s.basis for s in enumerate_subspaces(2, np.uint8(K))] == [
+        s.basis for s in enumerate_subspaces(2, K)
+    ]
 
 
 def test_enumerated_subspaces_are_distinct_channels():
