@@ -1,8 +1,10 @@
 """Pauli-component-erasing (PCE) maps, their subspaces, and Choi spectra.
 
 A PCE map on ``n`` qubits multiplies each Pauli component ``r_f`` of a state
-by a binary factor ``tau_f``.  Here ``tau`` is kept as a Python int bitmask:
-bit ``f`` (flat multi-index ``f``) is set iff component ``f`` is preserved.
+by a binary factor ``tau_f``.  Here ``tau`` is a bitmask: bit ``f`` (flat
+multi-index ``f``) is set iff component ``f`` is preserved.  A `PceMap` holds
+it as ``ceil(4**n / 8)`` packed little-endian bytes, and ``PceMap.tau`` gives
+it as a Python int, computed when read.
 A trace-preserving PCE map fixes the normalization component, ``tau_0 = 1``;
 it is a channel (completely positive) exactly when the preserved index set is
 closed under componentwise Klein addition, i.e. forms a GF(2) subspace.
@@ -31,17 +33,19 @@ Both are accepted on input; output uses "basis" for channels and "preserved"
 for everything else.  A "preserved" list is decoded and written as one digit
 array, and a refusal still names the first bad entry.
 
-A single map's tau is decoded in one place, `_decode`: a bool array of
-length ``4**n`` and its set positions, ascending.  The closure decision, the
-witness scan, the span-route spectrum and every listing read those two
-arrays, so each public call decodes at most once.  `_symbolic_report` gives
-every symbolic answer of `check` (closure, K, witness, exact spectrum) from
-that one decode, and lists the set positions only when an answer reads
-them.  A batch of masks is checked and decoded once, by `_mask_bits`, into
-one bool row per mask; `verify`'s batched decision, `_closed_flags`, and
-the dense oracle read those rows, so how a tau integer encodes its bits is
-known here alone.  `_closed_flags` and the one-map `_closed_basis` share
-one closure core, `_closed_group`.
+Packed bytes become bits in one step, `_unpack`.  A single map's tau is
+decoded in one place, `_decode`: a bool array of length ``4**n`` and its
+set positions, ascending.  The closure decision, the witness scan, the
+span-route spectrum and every listing read those two arrays, so each public
+call decodes at most once.  `_symbolic_report` gives every symbolic answer
+of `check` (closure, K, witness, exact spectrum) from that one decode, and
+lists the set positions only when an answer reads them.  The trace bit, the
+popcount and `compose` read the bytes without a decode, and maps built from
+bits are packed once, so no int is built on the way.  A batch of int masks
+is checked and decoded once, by `_mask_bits`, into one bool row per mask;
+`verify`'s batched decision, `_closed_flags`, and the dense oracle read
+those rows, so how tau is stored is known here alone.  `_closed_flags` and
+the one-map `_closed_basis` share one closure core, `_closed_group`.
 """
 
 from __future__ import annotations
@@ -89,22 +93,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PceMap:
-    """A candidate PCE map: ``n`` qubits and the preserved-component bitmask."""
+    """A candidate PCE map: ``n`` qubits and the preserved-component bitmask.
 
+    ``PceMap(n, tau)`` takes the bitmask as an integer, bit f for flat index
+    f; the map holds it as ``tau.to_bytes(ceil(4**n / 8), "little")``, pad
+    bits zero, so equality and hashing compare ``(n, bytes)``.  ``tau`` is
+    computed from those bytes when read.  The slots are declared here, not by
+    ``slots=True``, whose rebuilt class makes assigning a non-field name such
+    as ``tau`` raise TypeError rather than FrozenInstanceError.
+    """
+
+    __slots__ = ("n", "_packed")
     n: int
-    tau: int
+    _packed: bytes
 
-    def __post_init__(self) -> None:
-        check_qubits(self.n, TAU_QUBIT_LIMIT, "the bitmask form")
-        # Stored as the Python int the codec decodes (a numpy integer has no to_bytes).
-        object.__setattr__(self, "tau", _check_tau(self.n, self.tau))
+    def __init__(self, n: int, tau: int) -> None:
+        check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")
+        _set_pce(self, n, _check_tau(n, tau).to_bytes(_tau_width(n), "little"))
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: bytes) -> "PceMap":
+        """Trusted constructor, nothing checked: ``n`` passed `check_qubits`
+        for the bitmask form and ``packed`` holds tau's ``_tau_width(n)``
+        little-endian bytes with zero pad bits."""
+        pce = object.__new__(cls)
+        _set_pce(pce, n, packed)
+        return pce
+
+    def __repr__(self) -> str:
+        return f"PceMap(n={self.n}, tau={self.tau})"
+
+    def __reduce__(self):
+        return PceMap._from_packed, (self.n, self._packed)
+
+    @property
+    def tau(self) -> int:
+        """The bitmask as an integer: bit f is set iff component f is preserved."""
+        return int.from_bytes(self._packed, "little")
 
     @classmethod
     def identity(cls, n: int) -> "PceMap":
         check_qubits(n, TAU_QUBIT_LIMIT, "the bitmask form")  # before 4**n bits
-        return cls(n, (1 << 4**n) - 1)
+        full, rest = divmod(4**n, 8)  # rest = 4 at n = 1 only
+        return cls._from_packed(n, b"\xff" * full + bytes([(1 << rest) - 1] if rest else []))
 
     @classmethod
     def depolarizing(cls, n: int) -> "PceMap":
@@ -156,18 +189,17 @@ class PceMap:
     @classmethod
     def _from_bits(cls, n: int, bits: np.ndarray) -> "PceMap":
         """Trusted `from_bits`, nothing checked: ``bits`` is a bool or 0/1
-        integer array of length ``4**n``."""
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return cls(n, int.from_bytes(packed, "little"))
+        integer array of length ``4**n``.  One pack, whose pad bits are zero."""
+        return cls._from_packed(n, np.packbits(bits, bitorder="little").tobytes())
 
     @property
     def is_trace_preserving(self) -> bool:
         """Whether the normalization component is preserved (tau_0 = 1)."""
-        return bool(self.tau & 1)
+        return bool(self._packed[0] & 1)
 
     @property
     def preserved_count(self) -> int:
-        return self.tau.bit_count()
+        return int(np.bitwise_count(np.frombuffer(self._packed, np.uint8)).sum())
 
     def preserved_indices(self) -> list[int]:
         """Sorted flat indices of preserved components."""
@@ -178,7 +210,23 @@ class PceMap:
 
     def tau_vector(self) -> np.ndarray:
         """The bitmask as a uint8 0/1 array of length ``4**n``."""
-        return _tau_bits(self.n, (self.tau,))[0]
+        return _unpack(self.n, self._packed)[0]
+
+
+def _set_pce(pce: PceMap, n: int, packed: bytes) -> None:
+    """Fill a `PceMap`'s slots through their descriptors, which the frozen
+    ``__setattr__`` does not guard."""
+    _set_pce_n(pce, n)
+    _set_pce_packed(pce, packed)
+
+
+_set_pce_n = PceMap.n.__set__
+_set_pce_packed = PceMap._packed.__set__
+
+
+def _tau_width(n: int) -> int:
+    """Bytes of a packed tau on ``n`` qubits: ``ceil(4**n / 8)``."""
+    return (4**n + 7) // 8
 
 
 def _index_code(idx: MultiIndex | int, n: int) -> int:
@@ -207,17 +255,22 @@ def _check_tau(n: int, tau) -> int:
     return tau
 
 
+def _unpack(n: int, packed) -> np.ndarray:
+    """The one bytes-to-bits step: the packed little-endian tau bytes of G
+    masks on ``n`` qubits, ``_tau_width(n)`` bytes each, as a uint8 0/1 array
+    of shape ``(G, 4**n)``, bit f in column f.  `PceMap.tau_vector` (and so
+    `_decode` and `_symbolic_report`) and `_tau_bits` decode through it."""
+    raw = np.frombuffer(packed, np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * _tau_width(n))[:, : 4**n]
+
+
 def _tau_bits(n: int, masks) -> np.ndarray:
-    """The bits of each tau bitmask (a Python int) in ``masks``, bit f in
-    column f: a uint8 0/1 array of shape ``(len(masks), 4**n)`` from one
-    unpack of the masks' joined little-endian bytes.  `PceMap.tau_vector`
-    (and so `_decode` and `_symbolic_report`) and `_mask_bits` decode
-    through it.  Trusted: every mask is in ``0 .. 2**(4**n) - 1``, as in a
-    `PceMap`.
+    """The bits of each tau bitmask (a Python int) in ``masks``, as `_unpack`
+    gives them, from one unpack of the masks' joined bytes.  Trusted: every
+    mask is in ``0 .. 2**(4**n) - 1``.
     """
-    width = (4**n + 7) // 8
-    raw = np.frombuffer(b"".join([tau.to_bytes(width, "little") for tau in masks]), np.uint8)
-    return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * width)[:, : 4**n]
+    width = _tau_width(n)
+    return _unpack(n, b"".join([tau.to_bytes(width, "little") for tau in masks]))
 
 
 def _mask_bits(n: int, masks) -> np.ndarray:
@@ -682,7 +735,8 @@ def compose(first, second):
     """
     _check_same_n(first, second)
     if isinstance(first, PceMap) and isinstance(second, PceMap):
-        return PceMap(first.n, first.tau & second.tau)
+        both = np.frombuffer(first._packed, np.uint8) & np.frombuffer(second._packed, np.uint8)
+        return PceMap._from_packed(first.n, both.tobytes())
     if isinstance(first, Subspace) and isinstance(second, Subspace):
         rows = gf2.intersect(list(first.basis), list(second.basis), 2 * first.n)
         return Subspace(first.n, tuple(rows))

@@ -920,33 +920,40 @@ def test_verify_decides_every_mask_in_one_batched_call(monkeypatch, capsys):
     import pcekit.dense as dense
     import pcekit.maps as maps
 
-    calls = {"batches": 0, "masks": 0, "maps": 0, "checks": 0}
-    closed_flags, post_init = maps._closed_flags, maps.PceMap.__post_init__
-    check_tau = maps._check_tau
+    calls = {"batches": 0, "masks": 0, "maps": 0, "checks": 0, "decoded": 0}
+    closed_flags, set_pce = maps._closed_flags, maps._set_pce
+    check_tau, unpack = maps._check_tau, maps._unpack
 
     def counting_closed_flags(n, bits):
         calls["batches"] += 1
         calls["masks"] += len(bits)
         return closed_flags(n, bits)
 
-    def counting_post_init(self):
+    def counting_set_pce(pce, n, packed):  # every PceMap constructor fills its slots here
         calls["maps"] += 1
-        post_init(self)
+        set_pce(pce, n, packed)
 
     def counting_check_tau(n, tau):
         calls["checks"] += 1
         return check_tau(n, tau)
 
+    def counting_unpack(n, packed):  # the one bytes-to-bits step
+        bits = unpack(n, packed)
+        calls["decoded"] += len(bits)
+        return bits
+
     monkeypatch.setattr(dense, "_closed_flags", counting_closed_flags)
-    monkeypatch.setattr(maps.PceMap, "__post_init__", counting_post_init)
+    monkeypatch.setattr(maps, "_set_pce", counting_set_pce)
     monkeypatch.setattr(maps, "_check_tau", counting_check_tau)
+    monkeypatch.setattr(maps, "_unpack", counting_unpack)
     for argv, count in ((["verify", "2"], 2**15), (["verify", "3", "--samples", "50"], 50)):
-        calls.update(batches=0, masks=0, maps=0, checks=0)
+        calls.update(batches=0, masks=0, maps=0, checks=0, decoded=0)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert f"maps checked: {count}" in out
-        # Each mask is checked once, where it enters the library.
-        assert calls == {"batches": 1, "masks": count, "maps": 0, "checks": count}
+        # Each mask is checked once, where it enters the library, and
+        # decoded once, with no PceMap built.
+        assert calls == {"batches": 1, "masks": count, "maps": 0, "checks": count, "decoded": count}
 
 
 def test_verify_mode_restrictions(capsys):

@@ -159,6 +159,37 @@ def test_map_to_subspace_error_names_witness():
         map_to_subspace(PceMap.from_preserved(2, [0, 1, 8, 10, 11]))
 
 
+def test_library_and_cli_never_build_the_tau_integer(monkeypatch, tmp_path):
+    import contextlib
+    import io
+
+    from pcekit.cli import main
+    from pcekit.generators import decompose, recompose
+
+    def no_int(self):
+        raise AssertionError("PceMap.tau read")
+
+    # A channel at n = 3 (the dense oracle runs in check), and at n = 6 a
+    # near-channel with one member erased, sparse enough for the span route.
+    channel = subspace_to_map(closure(3, [0b000011, 0b010100, 0b100001]))
+    sub = closure(6, [1, 2 << 4, 3 << 8, 1 << 10])
+    near = PceMap.from_preserved(6, sub.members()[:-1])
+    monkeypatch.setattr(PceMap, "tau", property(no_int))
+    for pce, code in ((channel, 0), (near, 1)):
+        path = tmp_path / f"n{pce.n}.json"
+        path.write_text(json.dumps({"n": pce.n, "preserved": [str(m) for m in pce.preserved()]}))
+        for fmt in ("text", "json"):
+            for command in ("check", "decompose"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["--format", fmt, command, str(path)]) == code, (pce.n, command)
+        assert reflect(reflect(pce, 2), 2) == pce
+        dump_channel_document(pce)
+    assert recompose(decompose(channel), 3) == channel
+    assert subspace_to_map(map_to_subspace(channel)) == channel
+    with pytest.raises(NotAChannelError):
+        map_to_subspace(near)
+
+
 def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, tmp_path):
     import pcekit.gf2 as gf2
     import pcekit.maps as maps
@@ -168,16 +199,16 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
     sub = Subspace.from_vectors(9, [int(v) for v in rng.integers(1, 4**9, size=12)])
     assert sub.dim == 12
     channel = subspace_to_map(sub)
-    calls = {"decisions": 0, "tau_bits": 0, "rref_vectors": 0}
-    closed_basis, tau_bits, rref = maps._closed_basis, maps._tau_bits, gf2.rref
+    calls = {"decisions": 0, "unpack": 0, "rref_vectors": 0}
+    closed_basis, unpack, rref = maps._closed_basis, maps._unpack, gf2.rref
 
     def counting_closed_basis(n, present, codes):
         calls["decisions"] += 1
         return closed_basis(n, present, codes)
 
-    def counting_tau_bits(n, masks):  # the one decoder, `tau_vector` included
-        calls["tau_bits"] += 1
-        return tau_bits(n, masks)
+    def counting_unpack(n, packed):  # the one bytes-to-bits step, `tau_vector` included
+        calls["unpack"] += 1
+        return unpack(n, packed)
 
     def counting_rref(vectors):
         vectors = list(vectors)
@@ -185,15 +216,15 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         return rref(vectors)
 
     monkeypatch.setattr(maps, "_closed_basis", counting_closed_basis)
-    monkeypatch.setattr(maps, "_tau_bits", counting_tau_bits)
+    monkeypatch.setattr(maps, "_unpack", counting_unpack)
     monkeypatch.setattr(gf2, "rref", counting_rref)
     for call, expected in (
         (map_to_subspace, sub),
         (dump_channel_document, dump_channel_document(sub)),
     ):
-        calls.update(decisions=0, tau_bits=0, rref_vectors=0)
+        calls.update(decisions=0, unpack=0, rref_vectors=0)
         assert call(channel) == expected
-        assert (calls["decisions"], calls["tau_bits"]) == (1, 1), call
+        assert (calls["decisions"], calls["unpack"]) == (1, 1), call
         assert calls["rref_vectors"] <= 2 * sub.dim, call
 
     # Through the CLI: one closure decision and one decode per command.  The
@@ -210,9 +241,9 @@ def test_closure_decision_scans_tau_once_without_full_elimination(monkeypatch, t
         preserved = [str(MultiIndex(9, f)) for f in sorted(indices)]
         path.write_text(json.dumps({"n": 9, "preserved": preserved}))
         for command in ("check", "decompose"):
-            calls.update(decisions=0, tau_bits=0)
+            calls.update(decisions=0, unpack=0)
             assert main([command, str(path)]) == code, command
-            assert (calls["decisions"], calls["tau_bits"]) == (1, decodes[command]), (
+            assert (calls["decisions"], calls["unpack"]) == (1, decodes[command]), (
                 command,
                 len(indices),
             )

@@ -5,13 +5,17 @@ the batched decision against the per-mask one and a string scan, and the
 closure witness against a pair scan; `check`'s report against the public
 routes;
 the enumeration's unchecked subspaces against the validating constructor;
-document round trips; the algebra of `compose`; and the CLI's closed-form
+document round trips; the algebra of `compose`; `PceMap` value semantics
+whichever constructor built the map; and the CLI's closed-form
 `collide` against the dense collision circuit."""
 
 import contextlib
+import copy
+import dataclasses
 import io
 import itertools
 import json
+import pickle
 import re
 
 import numpy as np
@@ -328,6 +332,49 @@ def test_compose_is_intersection_and_a_semilattice(data):
     assert ab == compose(b, a)
     assert compose(ab, c) == compose(a, compose(b, c))
     assert compose(a, a) == a
+
+
+@st.composite
+def mask_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return n, draw(st.integers(0, (1 << 4**n) - 1)), draw(st.integers(0, (1 << 4**n) - 1))
+
+
+@PROPERTY
+@given(mask_pairs())
+@example((1, 0, 0))
+@example((1, 0b1111, 0b0110))  # n = 1: four bits and four zero pad bits in one byte
+def test_pce_map_is_a_value_whichever_constructor_built_it(case):
+    n, t, u = case
+    full = (1 << 4**n) - 1
+    bits = [t >> f & 1 for f in range(4**n)]
+    built = [
+        PceMap(n, t),
+        PceMap(n=n, tau=t),
+        PceMap.from_bits(n, np.array(bits)),
+        PceMap.from_preserved(n, [f for f in range(4**n) if bits[f]]),
+        compose(PceMap(n, t), PceMap.identity(n)),
+        compose(PceMap.from_bits(n, np.array(bits)), PceMap(n, full)),
+        compose(PceMap(n, t | u), PceMap(n, t | (full ^ u))),
+    ]
+    for m in built:
+        assert m == built[0] and hash(m) == hash(built[0])
+        assert m.tau == t and type(m.tau) is int
+        assert m.tau_vector().tolist() == bits and PceMap.from_bits(n, m.tau_vector()) == m
+        assert m.preserved_count == t.bit_count()
+        assert m.is_trace_preserving == bool(t & 1)
+        assert repr(m) == f"PceMap(n={n}, tau={t})"
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert copied == m and hash(copied) == hash(m) and repr(copied) == repr(m)
+        for field in ("n", "tau", "_packed"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, field, 0)
+        assert not hasattr(m, "__dict__")
+    assert len(set(built)) == 1
+    for a, b in ((PceMap(n, t), PceMap(n, u)), (built[2], PceMap.from_preserved(n, []))):
+        assert compose(a, b) == PceMap(n, a.tau & b.tau)
+    if n < 5:
+        assert PceMap(n, t) != PceMap(n + 1, t)
 
 
 @PROPERTY
