@@ -851,6 +851,32 @@ def test_text_rows_hold_one_slice_at_a_time(monkeypatch):
     assert peaks[1 << 8] < 1 << 18 and 20 * peaks[1 << 8] < peaks[1 << 16]
 
 
+def test_collide_json_matrix_is_json_dumps_written_a_row_at_a_time(monkeypatch, capsys):
+    import pcekit.cli as cli
+
+    rng = np.random.default_rng(29)
+    for dim in (2, 8, 64):
+        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        matrix[0, :2] = [-0.0, 1e-300 - 0.0j]  # -0.0, and a value printed in e-notation
+        matrix[-1, -1] = 1 / 3 + 2e17j  # rounded to 12 digits, and past 1e16
+        cli._emit_matrix_json(dim.bit_length() - 1, matrix)
+        expected = {"n": dim.bit_length() - 1, "rho": np.stack((matrix.real, matrix.imag), -1).tolist()}
+        assert capsys.readouterr().out == json.dumps(_round12(expected), indent=2) + "\n"
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    peaks = {}
+    for dim in (32, 256):
+        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        peaks[dim] = _traced_peak(lambda: cli._emit_matrix_json(8, matrix))
+    # A row at a time, the peak grows with the row (8x); the whole document,
+    # 64 times as many values, held about 30 MB at dim = 256.
+    assert peaks[256] < 12 * peaks[32] and peaks[256] < 1 << 20
+
+
 def test_verify_report_holds_one_chunk_of_masks_at_a_time(monkeypatch):
     import pcekit.dense as dense
 
