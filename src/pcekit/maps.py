@@ -259,29 +259,23 @@ def _unpack(n: int, packed) -> np.ndarray:
     """The one bytes-to-bits step: the packed little-endian tau bytes of G
     masks on ``n`` qubits, ``_tau_width(n)`` bytes each, as a uint8 0/1 array
     of shape ``(G, 4**n)``, bit f in column f.  `PceMap.tau_vector` (and so
-    `_decode` and `_symbolic_report`) and `_tau_bits` decode through it."""
+    `_decode` and `_symbolic_report`) and `_mask_bits` decode through it."""
     raw = np.frombuffer(packed, np.uint8)
     return np.unpackbits(raw, bitorder="little").reshape(-1, 8 * _tau_width(n))[:, : 4**n]
 
 
-def _tau_bits(n: int, masks) -> np.ndarray:
-    """The bits of each tau bitmask (a Python int) in ``masks``, as `_unpack`
-    gives them, from one unpack of the masks' joined bytes.  Trusted: every
-    mask is in ``0 .. 2**(4**n) - 1``.
-    """
-    width = _tau_width(n)
-    return _unpack(n, b"".join([tau.to_bytes(width, "little") for tau in masks]))
-
-
 def _mask_bits(n: int, masks) -> np.ndarray:
-    """The masks of an iterable, each checked once by `_check_tau`, decoded
-    in one `_tau_bits` call: a bool array of shape ``(G, 4**n)``, row g the
-    bits of mask g.  `verify`'s chunks and the dense oracle read these rows.
+    """The int masks of an iterable, each checked once by `_check_tau`, their
+    little-endian bytes joined and decoded by one `_unpack` call: a bool
+    array of shape ``(G, 4**n)``, row g the bits of mask g.  `verify`'s
+    chunks and the dense oracle read these rows.
 
     Raises:
         ValueError: if a mask is not an integer in ``0 .. 2**(4**n) - 1``.
     """
-    return _tau_bits(n, [_check_tau(n, tau) for tau in masks]).view(bool)
+    width = _tau_width(n)
+    packed = b"".join([_check_tau(n, tau).to_bytes(width, "little") for tau in masks])
+    return _unpack(n, packed).view(bool)
 
 
 def _decode(pce: PceMap, listed: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
