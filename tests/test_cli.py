@@ -859,9 +859,10 @@ def test_collide_json_matrix_is_json_dumps_written_a_row_at_a_time(monkeypatch, 
         matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         matrix[0, :2] = [-0.0, 1e-300 - 0.0j]  # -0.0, and a value printed in e-notation
         matrix[-1, -1] = 1 / 3 + 2e17j  # rounded to 12 digits, and past 1e16
-        cli._emit_matrix_json(dim.bit_length() - 1, matrix)
-        expected = {"n": dim.bit_length() - 1, "rho": np.stack((matrix.real, matrix.imag), -1).tolist()}
-        assert capsys.readouterr().out == json.dumps(_round12(expected), indent=2) + "\n"
+        n = dim.bit_length() - 1
+        cli._emit_matrix_json(n, matrix)
+        rho = np.stack((matrix.real, matrix.imag), -1).tolist()
+        assert capsys.readouterr().out == json.dumps(_round12({"n": n, "rho": rho}), indent=2) + "\n"
 
     class Sink:
         def write(self, text):
