@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from .pauli import (
     MultiIndex,
     _PAULI_STACK,
     _kron_table,
+    _labels,
     _qubit_position,
     _sp_parity,
     check_qubits,
@@ -415,21 +417,19 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     return reduced.reshape(dim, dim)
 
 
-def _commuting_generators(strings) -> tuple[list[MultiIndex], list[int]]:
-    """The labels of a commuting family, base-4 strings or `MultiIndex`
-    objects, as `MultiIndex` objects, and their RREF generators.
+def _commuting_generators(strings) -> tuple[int, tuple[MultiIndex, ...], list[int]]:
+    """A commuting family's qubit count, its labels, read by `pauli._labels`,
+    and their RREF generators.
 
     Raises:
         InvalidStabilizerSetError: if the family is empty or two of its
             labels do not commute.
-        DimensionMismatchError: if the labels have mixed qubit counts.
+        ValueError, DimensionMismatchError: as `pauli._labels` raises them.
     """
-    labels = [s if isinstance(s, MultiIndex) else MultiIndex.from_string(s) for s in strings]
-    if not labels:
+    strings = tuple(strings)
+    if not strings:
         raise InvalidStabilizerSetError("empty index set")
-    n = labels[0].n
-    if any(s.n != n for s in labels):
-        raise DimensionMismatchError("labels have mixed qubit counts")
+    n, labels = _labels(strings)
     basis = gf2.rref(s.code for s in labels)
     for i, u in enumerate(basis):
         for v in basis[i + 1 :]:
@@ -437,26 +437,26 @@ def _commuting_generators(strings) -> tuple[list[MultiIndex], list[int]]:
                 raise InvalidStabilizerSetError(
                     f"labels {MultiIndex(n, u)} and {MultiIndex(n, v)} do not commute"
                 )
-    return labels, basis
+    return n, labels, basis
 
 
-def qc_channel(strings: list[MultiIndex]) -> PceMap:
+def qc_channel(strings: Iterable[MultiIndex | str]) -> PceMap:
     """PCE channel of a maximal commuting index set (its diagonal projector).
 
-    The input must have exactly ``2**n`` distinct pairwise-commuting
-    elements.  Commuting strings span at most n dimensions, so such a set is
-    a whole n-dimensional span: it holds the zero index and is closed under
-    componentwise addition.  The resulting channel preserves exactly that
-    index set.
+    The input, `MultiIndex` objects or base-4 strings, must have exactly
+    ``2**n`` distinct pairwise-commuting elements.  Commuting strings span at
+    most n dimensions, so such a set is a whole n-dimensional span: it holds
+    the zero index and is closed under componentwise addition.  The resulting
+    channel preserves exactly that index set.
 
     Raises:
         InvalidStabilizerSetError: naming the specific failed requirement:
             an empty set, an anticommuting pair, a duplicate label or the
             wrong number of labels, checked in that order.
-        DimensionMismatchError: if the labels have mixed qubit counts.
+        ValueError, DimensionMismatchError: as `pauli._labels` raises them,
+            for a malformed label or labels on another qubit count.
     """
-    labels, _ = _commuting_generators(strings)
-    n = labels[0].n
+    n, labels, _ = _commuting_generators(strings)
     codes = {s.code for s in labels}
     if len(codes) != len(labels):
         raise InvalidStabilizerSetError("duplicate labels in index set")
@@ -467,8 +467,9 @@ def qc_channel(strings: list[MultiIndex]) -> PceMap:
     return PceMap.from_preserved(n, codes)
 
 
-def common_eigenbasis(strings: list[MultiIndex]) -> np.ndarray:
-    """Orthonormal simultaneous eigenbasis of a commuting Pauli family.
+def common_eigenbasis(strings: Iterable[MultiIndex | str]) -> np.ndarray:
+    """Orthonormal simultaneous eigenbasis of a commuting Pauli family, given
+    as `MultiIndex` objects or base-4 strings.
 
     Returns a ``2**n x 2**n`` unitary whose columns are the eigenvectors.
     Computed by diagonalizing a generic real combination of independent
@@ -478,10 +479,10 @@ def common_eigenbasis(strings: list[MultiIndex]) -> np.ndarray:
     Raises:
         InvalidStabilizerSetError: if the family is empty or two of its
             labels do not commute.
-        DimensionMismatchError: if the labels have mixed qubit counts.
+        ValueError, DimensionMismatchError: as `pauli._labels` raises them,
+            for a malformed label or labels on another qubit count.
     """
-    labels, basis = _commuting_generators(strings)
-    n = labels[0].n
+    n, _, basis = _commuting_generators(strings)
     mix = np.zeros((2**n, 2**n), dtype=complex)
     for i, code in enumerate(basis):
         mix += 3.0 ** -(i + 1) * pauli_string_dense(MultiIndex(n, code))

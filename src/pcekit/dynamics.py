@@ -21,8 +21,10 @@ from one function.  `collide` here runs the dense system-plus-ancilla circuit
 and stays as the oracle for that mask.
 
 Process JSON: ``{"terms": [{"alpha": "03", "gamma": 1.0}, ...]}``.
-Schedule JSON: ``{"labels": ["03", "33"]}`` (optional ``"n"`` key, required
-when the label list is empty).
+Schedule JSON: ``{"labels": ["03", "33"]}``.  Both take an optional ``"n"``
+key, required when the label list is empty.  The loaders check only the
+document's shape; the labels, and ``"n"`` against them, go through the one
+rule for a label family (`pauli._labels`) in the constructors.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .maps import PceMap
 from .pauli import (
     DENSE_QUBIT_LIMIT,
     MultiIndex,
+    _labels,
     check_qubits,
     parse_qubit_count,
     pauli_string_dense,
@@ -72,17 +75,25 @@ _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 @dataclass(frozen=True)
 class DissipativeProcess:
-    """A sum of Pauli-conjugation Lindblad terms with positive rates."""
+    """A sum of Pauli-conjugation Lindblad terms with positive rates.
+
+    ``labels`` are `MultiIndex` objects or base-4 strings, stored as a tuple
+    of `MultiIndex` by the one rule for a label family (`pauli._labels`),
+    which also checks ``n`` (None takes the first label's).
+    """
 
     n: int
     labels: tuple[MultiIndex, ...]
     gammas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.gammas):
+        n, labels = _labels(self.labels, self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        if not labels:
+            raise ValueError("process needs at least one term")
+        if len(labels) != len(self.gammas):
             raise ValueError("labels and gammas must have equal length")
-        if any(label.n != self.n for label in self.labels):
-            raise DimensionMismatchError("process labels have mixed qubit counts")
         if any(not 0 < g < math.inf for g in self.gammas):
             raise ValueError("all rates must be positive and finite")
         # No component decays faster than all terms together, so every decay
@@ -92,26 +103,24 @@ class DissipativeProcess:
 
     @classmethod
     def from_terms(cls, terms) -> "DissipativeProcess":
-        labels = tuple(
-            label if isinstance(label, MultiIndex) else MultiIndex.from_string(label)
-            for label, _ in terms
-        )
-        if not labels:
-            raise ValueError("process needs at least one term")
-        return cls(labels[0].n, labels, tuple(float(g) for _, g in terms))
+        """The process of an iterable of ``(label, gamma)`` pairs, read once."""
+        pairs = tuple(terms)
+        return cls(None, tuple(a for a, _ in pairs), tuple(float(g) for _, g in pairs))
 
 
 @dataclass(frozen=True)
 class CollisionSchedule:
-    """An ordered list of collision labels (one reset ancilla per collision)."""
+    """An ordered list of collision labels (one reset ancilla per collision),
+    `MultiIndex` objects or base-4 strings, stored as `DissipativeProcess`
+    stores its labels."""
 
     n: int
     labels: tuple[MultiIndex, ...]
 
     def __post_init__(self) -> None:
-        check_qubits(self.n)
-        if any(label.n != self.n for label in self.labels):
-            raise DimensionMismatchError("schedule labels have mixed qubit counts")
+        n, labels = _labels(self.labels, self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
 
 
 def semigroup_apply(
@@ -259,22 +268,17 @@ def pce_limit(proc: DissipativeProcess | CollisionSchedule) -> PceMap:
 def process_from_json_dict(doc: dict) -> DissipativeProcess:
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise ValueError('process document must be an object with a "terms" list')
-    terms = []
     for entry in doc["terms"]:
         if not isinstance(entry, dict) or "alpha" not in entry or "gamma" not in entry:
             raise ValueError('each term needs "alpha" and "gamma"')
-        alpha, gamma = entry["alpha"], entry["gamma"]
-        if not isinstance(alpha, str):
-            raise ValueError(f'"alpha" must be a base-4 string, got {alpha!r}')
+        gamma = entry["gamma"]
         # A JSON number (not a bool) within float range; the sign and NaN are
         # left to DissipativeProcess.
         if type(gamma) not in (int, float) or abs(gamma) > sys.float_info.max:
             raise ValueError(f'"gamma" must be a positive finite number, got {gamma!r}')
-        terms.append((MultiIndex.from_string(alpha), gamma))
-    proc = DissipativeProcess.from_terms(terms)
-    if "n" in doc and parse_qubit_count(doc["n"]) != proc.n:
-        raise ValueError('process "n" disagrees with the label length')
-    return proc
+    n = parse_qubit_count(doc["n"]) if "n" in doc else None
+    labels = tuple(entry["alpha"] for entry in doc["terms"])
+    return DissipativeProcess(n, labels, tuple(float(entry["gamma"]) for entry in doc["terms"]))
 
 
 def process_to_json_dict(proc: DissipativeProcess) -> dict:
@@ -290,19 +294,8 @@ def process_to_json_dict(proc: DissipativeProcess) -> dict:
 def schedule_from_json_dict(doc: dict) -> CollisionSchedule:
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise ValueError('schedule document must be an object with a "labels" list')
-    for text in doc["labels"]:
-        if not isinstance(text, str):
-            raise ValueError(f'"labels" must be base-4 strings, got {text!r}')
-    labels = tuple(MultiIndex.from_string(t) for t in doc["labels"])
-    if labels:
-        n = labels[0].n
-        if "n" in doc and parse_qubit_count(doc["n"]) != n:
-            raise ValueError('schedule "n" disagrees with the label length')
-    elif "n" in doc:
-        n = parse_qubit_count(doc["n"])
-    else:
-        raise ValueError('empty schedule needs an explicit "n"')
-    return CollisionSchedule(n, labels)
+    n = parse_qubit_count(doc["n"]) if "n" in doc else None
+    return CollisionSchedule(n, tuple(doc["labels"]))
 
 
 def schedule_to_json_dict(schedule: CollisionSchedule) -> dict:

@@ -10,10 +10,18 @@ product, and that annihilator basis is the canonical decomposition used here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from . import gf2
-from .errors import DimensionMismatchError
 from .maps import PceMap, Subspace, map_to_subspace, subspace_to_map
-from .pauli import MultiIndex, _qubit_position, _sp_parity, _swap_pairs, symplectic_product_row
+from .pauli import (
+    MultiIndex,
+    _labels,
+    _qubit_position,
+    _sp_parity,
+    _swap_pairs,
+    symplectic_product_row,
+)
 
 __all__ = [
     "generator_map",
@@ -74,29 +82,26 @@ def decompose(channel: PceMap | Subspace) -> list[MultiIndex]:
     return [MultiIndex(subspace.n, v) for v in annihilator]
 
 
-def recompose_subspace(labels, n: int | None = None) -> Subspace:
+def recompose_subspace(labels: Iterable[MultiIndex | str], n: int | None = None) -> Subspace:
     """Preserved subspace of the composed elementary channels of ``labels``.
 
     Closed form: composing intersects the labels' symplectic complements,
     which is the symplectic complement of span(labels); works for n <= 16.
-    ``n`` is only needed for an empty label list (identity channel).
+    ``labels`` are `MultiIndex` objects or base-4 strings, read by the one
+    rule for a label family (`pauli._labels`); ``n`` is only needed for an
+    empty label list (identity channel).
 
     Raises:
+        ValueError: for a malformed label, or an empty list without ``n``.
+        CapacityError: if ``n`` is outside ``1..N_MAX``.
         DimensionMismatchError: if a label's qubit count differs from ``n``
             or from the first label's.
     """
-    labels = list(labels)
-    if n is None:
-        if not labels:
-            raise ValueError("empty label list needs an explicit qubit count")
-        n = labels[0].n
-    for label in labels:
-        if label.n != n:
-            raise DimensionMismatchError(f"label {label} has n={label.n}, expected {n}")
+    n, labels = _labels(labels, n)
     return Subspace(n, tuple(_symplectic_complement(n, [a.code for a in labels])))
 
 
-def recompose(labels, n: int | None = None) -> PceMap:
+def recompose(labels: Iterable[MultiIndex | str], n: int | None = None) -> PceMap:
     """Bitmask form of `recompose_subspace` (``n <= TAU_QUBIT_LIMIT``)."""
     return subspace_to_map(recompose_subspace(labels, n))
 

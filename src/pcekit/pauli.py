@@ -149,6 +149,30 @@ def _qubit_position(k, n: int) -> int:
     return k
 
 
+def _labels(labels, n: int | None = None) -> tuple[int, tuple["MultiIndex", ...]]:
+    """A family of Pauli labels as ``(n, labels)``: the one rule for label
+    families.  Each label is a `MultiIndex` or a base-4 string (anything
+    else is refused by `MultiIndex.from_string`).  ``n`` is checked by
+    `check_qubits`, or else taken from the first label.
+
+    Raises:
+        ValueError: for a label of another type, a malformed string, or an
+            empty family without ``n``.
+        CapacityError: if ``n`` is outside ``1..N_MAX``.
+        DimensionMismatchError: naming the first label on another qubit count.
+    """
+    family = tuple(a if isinstance(a, MultiIndex) else MultiIndex.from_string(a) for a in labels)
+    if n is None:
+        if not family:
+            raise ValueError("an empty label list needs an explicit qubit count")
+        n = family[0].n
+    check_qubits(n)
+    for label in family:
+        if label.n != n:
+            raise DimensionMismatchError(f"label {label} has n={label.n}, expected {n}")
+    return n, family
+
+
 def _digit(value) -> int:
     """``value`` as a single-qubit digit, else ValueError naming it."""
     try:

@@ -552,7 +552,7 @@ def test_evolve_malformed_numbers_are_usage_errors(tmp_path, capsys, monkeypatch
             "1.0",
             '"rho" must be',
         ),
-        ({"terms": [{"alpha": 3, "gamma": True}]}, good_state, "1.0", '"alpha" must be'),
+        ({"terms": [{"alpha": 3, "gamma": True}]}, good_state, "1.0", '"gamma" must be'),
         ({"terms": [{"alpha": "3", "gamma": True}]}, good_state, "1.0", "finite number"),
         ({"terms": [{"alpha": "3", "gamma": "1"}]}, good_state, "1.0", "finite number"),
         # Each rate is finite, but they add up to inf: Y, which anticommutes
@@ -602,8 +602,8 @@ def test_collide_malformed_schedule_is_usage_error(tmp_path, capsys):
     for fmt, sched_doc, state_doc, message in (
         ("text", {"n": True, "labels": ["3"]}, good_state, '"n" must be an integer'),
         ("text", {"n": True, "labels": []}, good_state, '"n" must be an integer'),
-        ("text", {"labels": [3]}, good_state, '"labels" must be base-4 strings'),
-        ("text", {"n": 1, "labels": ["3", True]}, good_state, '"labels" must be base-4 strings'),
+        ("text", {"labels": [3]}, good_state, "not a base-4 digit string: 3"),
+        ("text", {"n": 1, "labels": ["3", True]}, good_state, "not a base-4 digit string: True"),
         ("text", good_sched, {"n": 1, "components": [1, 5, 0, 0]}, "positive semidefinite"),
         ("text", good_sched, {"n": 1, "components": [0.5, 0, 0, 0]}, "unit trace"),
         # Qubit 1's Bloch vector has length 1.56; |r_f| and purity pass.

@@ -470,7 +470,7 @@ def test_qc_channel_validation_errors():
     "labels, error, message",
     [
         ([], InvalidStabilizerSetError, "empty index set"),
-        (["01", "3"], DimensionMismatchError, "labels have mixed qubit counts"),
+        (["01", "3"], DimensionMismatchError, "label 3 has n=1, expected 2"),
         (["1", "2"], InvalidStabilizerSetError, "do not commute"),
     ],
 )

@@ -282,6 +282,11 @@ def test_process_json_round_trip():
             process_from_json_dict(bad)
 
 
+def test_from_terms_reads_a_generator_of_pairs_once():
+    proc = DissipativeProcess.from_terms(pair for pair in [("3", 1.0), (MultiIndex(1, 1), 2)])
+    assert proc == DissipativeProcess(1, (MultiIndex(1, 3), MultiIndex(1, 1)), (1.0, 2.0))
+
+
 def test_schedule_json_round_trip():
     sched = CollisionSchedule(2, tuple(MultiIndex.from_string(s) for s in ("03", "33")))
     doc = schedule_to_json_dict(sched)
@@ -291,11 +296,11 @@ def test_schedule_json_round_trip():
     assert empty == CollisionSchedule(3, ())
     with pytest.raises(ValueError):
         schedule_from_json_dict({"labels": []})  # empty needs explicit n
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         schedule_from_json_dict({"n": 1, "labels": ["03"]})  # n conflict
     with pytest.raises(CapacityError):
         CollisionSchedule(17, ())
-    with pytest.raises(DimensionMismatchError, match="schedule labels have mixed qubit counts"):
+    with pytest.raises(DimensionMismatchError, match="label 3 has n=1, expected 2"):
         CollisionSchedule(2, (MultiIndex(2, 3), MultiIndex(1, 3)))
 
 

@@ -7,6 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcekit.dense import common_eigenbasis, qc_channel
+from pcekit.dynamics import (
+    CollisionSchedule,
+    DissipativeProcess,
+    fixed_point_components,
+    process_from_json_dict,
+    schedule_from_json_dict,
+)
+from pcekit.errors import CapacityError, DimensionMismatchError, InvalidStabilizerSetError
+from pcekit.generators import recompose, recompose_subspace
 from pcekit.maps import Subspace
 from pcekit.pauli import (
     MultiIndex,
@@ -474,3 +484,92 @@ def test_weight_counts_non_identity_digits():
     assert MultiIndex.from_string("000").weight == 0
     assert MultiIndex.from_string("103").weight == 2
     assert MultiIndex.from_string("222").weight == 3
+
+
+# Every entry point that takes a family of Pauli labels, called on (labels, n);
+# the ones marked False have no qubit count of their own to pass.
+_LABEL_ENTRY_POINTS = [
+    ("recompose_subspace", True, lambda labels, n: recompose_subspace(labels, n)),
+    ("recompose", True, lambda labels, n: recompose(labels, n)),
+    ("CollisionSchedule", True, lambda labels, n: CollisionSchedule(n, tuple(labels))),
+    (
+        "DissipativeProcess",
+        True,
+        lambda labels, n: DissipativeProcess(n, tuple(labels), (1.0,) * len(labels)),
+    ),
+    (
+        "from_terms",
+        False,
+        lambda labels, n: DissipativeProcess.from_terms((a, 1.0) for a in labels),
+    ),
+    ("qc_channel", False, lambda labels, n: qc_channel(labels)),
+    ("common_eigenbasis", False, lambda labels, n: common_eigenbasis(labels)),
+    (
+        "schedule_from_json_dict",
+        True,
+        lambda labels, n: schedule_from_json_dict(_with_n({"labels": labels}, n)),
+    ),
+    (
+        "process_from_json_dict",
+        True,
+        lambda labels, n: process_from_json_dict(
+            _with_n({"terms": [{"alpha": a, "gamma": 1.0} for a in labels]}, n)
+        ),
+    ),
+]
+
+
+def _with_n(doc, n):
+    return doc if n is None else {"n": n, **doc}
+
+_TOO_MANY_QUBITS = (CapacityError, "the symbolic form needs 1 <= n <= 16, got n=17")
+
+
+@pytest.mark.parametrize(
+    "labels, n, error",
+    [
+        (["03", "1"], None, (DimensionMismatchError, "label 1 has n=1, expected 2")),
+        (["1"], 2, (DimensionMismatchError, "label 1 has n=1, expected 2")),
+        (["03", 3], None, (ValueError, "not a base-4 digit string: 3")),
+        ([None], None, (ValueError, "not a base-4 digit string: None")),
+        (["0a"], None, (ValueError, "not a base-4 digit string: '0a'")),
+        ([""], None, (ValueError, "not a base-4 digit string: ''")),
+        (["3" * 17], None, _TOO_MANY_QUBITS),
+        ([], 17, _TOO_MANY_QUBITS),
+        (["1"], 17, _TOO_MANY_QUBITS),
+        ([], 0, (CapacityError, "the symbolic form needs 1 <= n <= 16, got n=0")),
+        ([], None, (ValueError, "an empty label list needs an explicit qubit count")),
+    ],
+)
+def test_every_label_family_entry_point_refuses_a_bad_family_alike(labels, n, error):
+    # One rule, `pauli._labels`, reads every family: one exception type and
+    # message per fault.  An empty stabilizer set is a fault of its own, and
+    # a document's "n" is first checked as a JSON value (`parse_qubit_count`,
+    # which also refuses bools and null).
+    for name, takes_n, call in _LABEL_ENTRY_POINTS:
+        if n is not None and not takes_n:
+            continue
+        expected = error
+        if not labels and name in ("qc_channel", "common_eigenbasis"):
+            expected = (InvalidStabilizerSetError, "empty index set")
+        if name.endswith("_json_dict") and n is not None and not 1 <= n <= 16:
+            expected = (ValueError, f'"n" must be an integer in 1..16, got {n}')
+        with pytest.raises(expected[0]) as caught:
+            call(labels, n)
+        assert str(caught.value) == expected[1], name
+
+
+def test_string_labels_are_accepted_wherever_multiindex_labels_are():
+    strings = ["00", "30", "03", "33"]  # a maximal commuting set, for qc_channel
+    objects = [MultiIndex.from_string(s) for s in strings]
+    mixed = [strings[0], objects[1], strings[2], objects[3]]
+    for name, _, call in _LABEL_ENTRY_POINTS[:-2]:  # the documents hold strings only
+        results = [call(family, 2) for family in (objects, strings, mixed)]
+        if name == "common_eigenbasis":
+            assert all(np.array_equal(r, results[0]) for r in results), name
+        else:
+            assert results[0] == results[1] == results[2], name
+    r0 = np.array([1.0, 0.5, 0.0, 0.5])
+    assert np.array_equal(
+        fixed_point_components(CollisionSchedule(1, ("3",)), r0), [1.0, 0.0, 0.0, 0.5]
+    )
