@@ -21,8 +21,10 @@ document and refuses a trajectory that needs more.  `diagram`, whose own
 `collide` prints `dynamics.fixed_point_components(schedule, r0)`, the function
 that also gives a process's t -> infinity state: the components that commute
 with every label are kept, the rest print as exactly 0.  Its text runs to the
-bitmask limit (n <= 13), its JSON density matrix to the state limit (n <= 10),
-written a row at a time.
+bitmask limit (n <= 13), its JSON density matrix to the state limit (n <= 10).
+Every JSON document goes through `_emit_json`, which writes an array value
+(`evolve`'s ``"t"`` and ``"r"``, `collide`'s ``"rho"``) at most
+``_ROW_SLICE`` values at a time, with the bytes of one `json.dumps`.
 The dense collision circuit, `dynamics.collide`, is only the tests' oracle.
 `verify` draws its samples lazily, a `VERIFY_CHUNK` of masks at a time, and
 `verify_report` decides them a chunk at a time.  No command builds the 4**n
@@ -103,8 +105,62 @@ def _round12(value):
     return value
 
 
+# Stands in `_emit_json`'s one `json.dumps` for an array value; no document
+# string holds a NUL.
+_ARRAY = "\0array\0"
+
+
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(_round12(doc), indent=2))
+    """``print(json.dumps(_round12(doc), indent=2))``, with each numpy array
+    value written in its place by `_write_json_array`."""
+    arrays = [value for value in doc.values() if isinstance(value, np.ndarray)]
+    stand_ins = {k: _ARRAY if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    pieces = json.dumps(_round12(stand_ins), indent=2).split(json.dumps(_ARRAY))
+    sys.stdout.write(pieces[0])
+    for array, piece in zip(arrays, pieces[1:]):
+        _write_json_array(array, 1)
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
+
+
+def _json_pattern(shape: tuple[int, ...], depth: int) -> str:
+    """The indented `json.dumps` text of an array of ``shape`` whose opening
+    bracket sits at nesting ``depth``, with ``%r`` for each value."""
+    pad = "\n" + "  " * (depth + 1)
+    inner = "%r" if len(shape) == 1 else _json_pattern(shape[1:], depth + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+def _rounded(array: np.ndarray) -> tuple:
+    """The values as `_round12` rounds them (``%.12g`` prints what `_fmt`
+    prints)."""
+    values = array.tolist()
+    return tuple(map(float, ("%.12g " * len(values) % tuple(values)).split()))
+
+
+def _write_json_array(array: np.ndarray, depth: int) -> None:
+    """Write ``json.dumps(_round12(array.tolist()), indent=2)`` as nested at
+    ``depth``, at most ``_ROW_SLICE`` values at a time, with the same bytes:
+    the whole document's lists and text took 1.5 GB of peak RSS for an
+    n = 11 `evolve --steps 1` (2 vCPUs).  A sub-array within the slice takes
+    one ``%`` on its pattern, a larger one is written part by part, and a
+    longer last axis in slices.  ``%r`` prints a finite rounded float as
+    `json.dumps` does."""
+    if array.size <= _ROW_SLICE:
+        sys.stdout.write(_json_pattern(array.shape, depth) % _rounded(array.ravel()))
+        return
+    pad = "\n" + "  " * (depth + 1)
+    sys.stdout.write("[")
+    if array.ndim == 1:
+        for start in range(0, len(array), _ROW_SLICE):
+            part = array[start : start + _ROW_SLICE]
+            text = ("," + pad).join(["%r"] * len(part)) % _rounded(part)
+            sys.stdout.write(("," if start else "") + pad + text)
+    else:
+        for i, sub in enumerate(array):
+            sys.stdout.write(("," if i else "") + pad)
+            _write_json_array(sub, depth + 1)
+    sys.stdout.write("\n" + "  " * depth + "]")
 
 
 def _read_json(path: str):
@@ -157,23 +213,6 @@ def _parse_matrix(rows, dim: int) -> np.ndarray:
     message = f'"rho" must be a {dim}x{dim} matrix of finite [re, im] pairs'
     matrix = _finite_array(rows, (dim, dim, 2), message)
     return matrix[..., 0] + 1j * matrix[..., 1]
-
-
-def _emit_matrix_json(n: int, matrix: np.ndarray) -> None:
-    """`_emit_json` of ``{"n": n, "rho": matrix}``, the matrix as rows of
-    [re, im] pairs, written a row at a time with the same bytes: the whole
-    document's nested lists and text took 0.19 GB of peak RSS at n = 9.
-    Each value is rounded as `_round12` rounds it (``%.12g`` prints what
-    `_fmt` prints), and ``%r`` prints the finite rounded float as
-    `json.dumps` does."""
-    pair = "      [\n        %r,\n        %r\n      ]"
-    row_pattern = "    [\n" + ",\n".join([pair] * len(matrix)) + "\n    ]"
-    sys.stdout.write(f'{{\n  "n": {n},\n  "rho": [\n')
-    for i, row in enumerate(matrix):
-        values = np.stack((row.real, row.imag), axis=-1).ravel().tolist()
-        rounded = tuple(map(float, ("%.12g " * len(values) % tuple(values)).split()))
-        sys.stdout.write((",\n" if i else "") + row_pattern % rounded)
-    sys.stdout.write("\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +358,7 @@ def cmd_evolve(args) -> int:
     if text:
         print(f"# max_abs_distance_to_fixed_point = {_fmt(distance)}")
     else:
-        _emit_json(
-            {
-                "n": n,
-                "t": times.tolist(),
-                "r": rows.tolist(),
-                "max_abs_distance_to_fixed_point": distance,
-            }
-        )
+        _emit_json({"n": n, "t": times, "r": rows, "max_abs_distance_to_fixed_point": distance})
     return 0
 
 
@@ -337,7 +369,9 @@ def cmd_collide(args) -> int:
     # the JSON matrix's n <= STATE_QUBIT_LIMIT (10).
     r = fixed_point_components(schedule, r0)
     if args.format == "json":
-        _emit_matrix_json(n, from_pauli_components(r))
+        matrix = from_pauli_components(r)
+        # The [re, im] pairs are a view of the C-ordered complex matrix.
+        _emit_json({"n": n, "rho": matrix.view(float).reshape(*matrix.shape, 2)})
     else:
         print(f"n: {n}")
         _write_indexed_lines("%d %.12g\n", r)

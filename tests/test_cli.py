@@ -860,9 +860,10 @@ def test_collide_json_matrix_is_json_dumps_written_a_row_at_a_time(monkeypatch, 
         matrix[0, :2] = [-0.0, 1e-300 - 0.0j]  # -0.0, and a value printed in e-notation
         matrix[-1, -1] = 1 / 3 + 2e17j  # rounded to 12 digits, and past 1e16
         n = dim.bit_length() - 1
-        cli._emit_matrix_json(n, matrix)
-        rho = np.stack((matrix.real, matrix.imag), -1).tolist()
-        assert capsys.readouterr().out == json.dumps(_round12({"n": n, "rho": rho}), indent=2) + "\n"
+        rho = np.stack((matrix.real, matrix.imag), -1)
+        cli._emit_json({"n": n, "rho": rho})
+        expected = json.dumps(_round12({"n": n, "rho": rho.tolist()}), indent=2)
+        assert capsys.readouterr().out == expected + "\n"
 
     class Sink:
         def write(self, text):
@@ -871,11 +872,49 @@ def test_collide_json_matrix_is_json_dumps_written_a_row_at_a_time(monkeypatch, 
     monkeypatch.setattr(sys, "stdout", Sink())
     peaks = {}
     for dim in (32, 256):
-        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        peaks[dim] = _traced_peak(lambda: cli._emit_matrix_json(8, matrix))
-    # A row at a time, the peak grows with the row (8x); the whole document,
-    # 64 times as many values, held about 30 MB at dim = 256.
+        rho = rng.normal(size=(dim, dim, 2))
+        peaks[dim] = _traced_peak(lambda: cli._emit_json({"n": 8, "rho": rho}))
+    # At most a slice of 2**16 values at a time: the whole 32 x 32 matrix, or
+    # one row of the 256 x 256 one.  The whole document held about 30 MB at
+    # dim = 256.
     assert peaks[256] < 12 * peaks[32] and peaks[256] < 1 << 20
+
+
+def test_evolve_json_is_json_dumps_written_a_slice_at_a_time(tmp_path, capsys, monkeypatch):
+    import pcekit.cli as cli
+
+    rng = np.random.default_rng(30)
+    r0 = seeded_components(rng, 3)
+    state = write_json(tmp_path, "state.json", {"n": 3, "components": r0.tolist()})
+    terms = [{"alpha": "130", "gamma": 0.4}, {"alpha": "021", "gamma": 1.5}]
+    proc_doc = {"terms": terms}
+    argv = ["--format", "json", "evolve", write_json(tmp_path, "p.json", proc_doc), state, "2.0"]
+    argv += ["--steps", "5"]
+    proc = process_from_json_dict(proc_doc)
+    times = 2.0 * np.arange(6) / 5
+    rows = evolve_components(proc, r0, times)
+    distance = float(np.abs(rows[-1] - fixed_point_components(proc, r0)).max())
+    doc = {"n": 3, "t": times.tolist(), "r": rows.tolist()}
+    doc["max_abs_distance_to_fixed_point"] = distance
+    whole = (0, json.dumps(_round12(doc), indent=2) + "\n", "")
+    assert run_cli(argv, capsys) == whole
+    # A slice of one value, part rows, whole rows, and the whole array.
+    for row_slice in (1, 7, 64, 384):
+        monkeypatch.setattr(cli, "_ROW_SLICE", row_slice)
+        assert run_cli(argv, capsys) == whole
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    rows = np.linspace(-1, 1, 1 << 16).reshape(4, -1)
+    peaks = {}
+    for row_slice in (1 << 8, 1 << 16):
+        monkeypatch.setattr(cli, "_ROW_SLICE", row_slice)
+        peaks[row_slice] = _traced_peak(lambda: cli._emit_json({"n": 8, "r": rows}))
+    # The whole array at once holds its rounded floats and its text (about 10 MB).
+    assert peaks[1 << 8] < 1 << 18 and 20 * peaks[1 << 8] < peaks[1 << 16]
 
 
 def test_verify_report_holds_one_chunk_of_masks_at_a_time(monkeypatch):
