@@ -69,7 +69,7 @@ from .errors import (
 )
 from .generators import decompose, recompose_subspace
 from .maps import Subspace, load_channel_document, map_to_subspace
-from .pauli import N_MAX, parse_qubit_count
+from .pauli import CHOI_QUBIT_LIMIT, N_MAX, parse_qubit_count
 
 
 def _fmt(x: float) -> str:
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collide)
 
     p = sub.add_parser("verify", help="symbolic CP verdict vs dense Choi oracle")
-    p.add_argument("n", type=int, choices=(1, 2, 3), metavar="n")
+    p.add_argument("n", type=int, choices=range(1, CHOI_QUBIT_LIMIT + 1), metavar="n")
     p.add_argument("--exhaustive", action="store_true", help="all maps (n <= 2)")
     p.add_argument("--samples", type=int, default=None, help="random maps (n = 3)")
     p.set_defaults(func=cmd_verify)
