@@ -149,7 +149,7 @@ def _qubit_position(k, n: int) -> int:
     return k
 
 
-def _labels(labels, n: int | None = None) -> tuple[int, tuple["MultiIndex", ...]]:
+def _labels(labels, n: int | None = None) -> tuple[int, tuple[MultiIndex, ...]]:
     """A family of Pauli labels as ``(n, labels)``: the one rule for label
     families.  Each label is a `MultiIndex` or a base-4 string (anything
     else is refused by `MultiIndex.from_string`).  ``n`` is checked by
